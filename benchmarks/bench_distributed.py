@@ -36,15 +36,15 @@ record is interpretable on its own.
   handler); the record carries the *time to recover* -- wall seconds
   from launching the replacement coordinator to the sweep completing,
   with the original workers surviving the outage via reconnect/backoff
-  -- plus the startup-replay gate: folding a >= 10^4-event sharded
-  ledger from its compacted snapshot must beat the full line-by-line
+  -- plus the startup-replay gate: folding a >= 10^4-event ledger
+  from its compacted snapshot must beat the full line-by-line
   replay by >= :data:`MIN_COMPACTED_REPLAY_SPEEDUP`.
 
 * ``BENCH_9.json`` -- the telemetry gate, in two halves: (1) the same
   serial batch sweep with span emission off vs on (best-of-N per arm,
   alternated) must stay within :data:`MAX_TELEMETRY_OVERHEAD`, so the
   instrumentation can ship enabled; (2) a warm ``GET /metrics`` scrape
-  over a >= 10^4-point store backed by a compacted sharded ledger must
+  over a >= 10^4-point store backed by a compacted ledger must
   answer within :data:`MAX_SCRAPE_SECONDS` -- gauges fold from the
   memoized ledger replay, so a scrape is a stat plus a render, not a
   re-parse.
@@ -139,7 +139,7 @@ def run_distributed(specs, tmp: pathlib.Path) -> dict:
     coordinator = SweepCoordinator(
         specs,
         cache_dir=tmp / "dist",
-        ledger_path=tmp / "ledger.jsonl",
+        ledger_path=tmp / "ledger",
         await_workers=N_WORKERS,
     )
     summary = {}
@@ -221,7 +221,7 @@ def run_benchmark(tmp: pathlib.Path) -> dict:
     )
     dist_files = sorted(path.name for path in (tmp / "dist").glob("*.json"))
     assert serial_files == dist_files, "result sets diverged"
-    serve = time_service(tmp / "dist", tmp / "ledger.jsonl")
+    serve = time_service(tmp / "dist", tmp / "ledger")
     return {
         "grid_points": len(specs),
         "runs_per_point": POINT_RUNS,
@@ -514,7 +514,7 @@ def run_recovery_benchmark(tmp: pathlib.Path) -> dict:
     specs = load_scenario_document(document).expand()
     spec_file = tmp / "recovery-grid.json"
     spec_file.write_text(json.dumps(document))
-    ledger = tmp / "recovery-ledger"  # directory: the sharded layout
+    ledger = tmp / "recovery-ledger"
     cache = tmp / "recovery-cache"
     port = _free_port()
 
@@ -604,12 +604,12 @@ def run_recovery_benchmark(tmp: pathlib.Path) -> dict:
 
 def run_replay_benchmark(tmp: pathlib.Path) -> dict:
     """Full line-by-line replay vs snapshot-fold replay of the same
-    >= 10^4-event sharded ledger (the coordinator-restart path)."""
-    from repro.distributed.ledger import ShardedLedger, replay_ledger
+    >= 10^4-event ledger (the coordinator-restart path)."""
+    from repro.distributed.ledger import SweepLedger, replay_ledger
 
     root = tmp / "replay-ledger"
     keys = [f"{index:064d}" for index in range(REPLAY_EVENTS // 3)]
-    with ShardedLedger(root) as ledger:
+    with SweepLedger(root) as ledger:
         for index, key in enumerate(keys):
             ledger._append(
                 {"event": "scheduled", "key": key, "spec": {"name": key}},
@@ -785,13 +785,13 @@ def run_telemetry_overhead_benchmark(tmp: pathlib.Path) -> dict:
 
 def run_scrape_benchmark(tmp: pathlib.Path) -> dict:
     """A warm ``GET /metrics`` over a >= 10^4-point store backed by a
-    compacted sharded ledger -- the steady-state monitoring scrape."""
-    from repro.distributed.ledger import ShardedLedger
+    compacted ledger -- the steady-state monitoring scrape."""
+    from repro.distributed.ledger import SweepLedger
 
     cache = tmp / "scrape-store"
     build_seconds = build_synthetic_store(cache, PAGE_STORE_POINTS)
     root = tmp / "scrape-ledger"
-    with ShardedLedger(root) as ledger:
+    with SweepLedger(root) as ledger:
         for index in range(PAGE_STORE_POINTS):
             key = f"{index:064d}"
             ledger._append(

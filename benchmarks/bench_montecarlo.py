@@ -1,6 +1,6 @@
 """Benchmark: Monte-Carlo validation of the closed forms.
 
-Not a paper artifact -- the cross-check DESIGN.md commits to:
+Not a paper artifact -- the reproduction's own cross-check:
 independent simulation must agree with Relations (5)-(9) at a
 representative corner.  Two estimators with complementary power:
 

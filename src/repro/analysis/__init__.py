@@ -12,10 +12,8 @@ from repro.analysis.experiments import (
     TABLE2_D,
     TABLE2_MU_GRID,
     ModelCache,
-    SweepPoint,
     base_parameters,
     mu_percent,
-    sweep,
 )
 from repro.analysis.figure3 import (
     Figure3Cell,
@@ -57,9 +55,7 @@ from repro.analysis.tables import format_value, render_comparison, render_table
 
 __all__ = [
     "ModelCache",
-    "SweepPoint",
     "base_parameters",
-    "sweep",
     "mu_percent",
     "MU_GRID",
     "D_GRID",

@@ -1,4 +1,4 @@
-"""Shared experiment grid definitions and sweep runner.
+"""Shared experiment grid definitions and the analysis sweep runner.
 
 The paper's evaluation fixes ``C = 7``, ``Delta = 7`` and sweeps
 ``mu``, ``d``, ``k`` and the initial distribution; this module holds the
@@ -16,7 +16,6 @@ calls stay side-effect free and byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
 
 from repro.core.cluster_model import ClusterModel
 from repro.core.parameters import ModelParameters
@@ -42,7 +41,7 @@ FIGURE5_D_GRID = (0.30, 0.90)
 FIGURE5_EVENTS = 100_000
 #: The paper omits mu for Figure 5.  mu = 25 % reproduces the published
 #: "less than 2.2 %" polluted-proportion ceiling exactly (peak 2.17 %);
-#: mu = 30 % would peak at 3.2 %.  See EXPERIMENTS.md.
+#: mu = 30 % would peak at 3.2 %.
 FIGURE5_MU = 0.25
 
 #: Paper base point.
@@ -61,15 +60,6 @@ def base_parameters(**overrides) -> ModelParameters:
     return ModelParameters(**defaults)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid point with its evaluated metrics."""
-
-    params: ModelParameters
-    initial: str
-    metrics: dict[str, float]
-
-
 @dataclass
 class ModelCache:
     """Memoizes :class:`ClusterModel` instances across a sweep.
@@ -85,26 +75,6 @@ class ModelCache:
         if params not in self._models:
             self._models[params] = ClusterModel(params)
         return self._models[params]
-
-
-def sweep(
-    parameter_points: Iterator[tuple[ModelParameters, str]],
-    evaluate: Callable[[ClusterModel, str], dict[str, float]],
-    cache: ModelCache | None = None,
-) -> list[SweepPoint]:
-    """Evaluate ``evaluate(model, initial)`` over a parameter iterator."""
-    cache = cache if cache is not None else ModelCache()
-    results = []
-    for params, initial in parameter_points:
-        model = cache.get(params)
-        results.append(
-            SweepPoint(
-                params=params,
-                initial=initial,
-                metrics=evaluate(model, initial),
-            )
-        )
-    return results
 
 
 def mu_percent(mu: float) -> int:

@@ -6,8 +6,9 @@ events, n in {500, 1500}, d in {30 %, 90 %} (lifetimes L = 6.58 and
 proportion stays below 2.2 %, and both proportions are nearly
 independent of d because the real churn dominates the induced churn.
 
-The paper does not print the mu used; we follow its strongest setting
-(mu = 30 %, see DESIGN.md) and expose the parameter.
+The paper does not print the mu used; we take mu = 25 %
+(:data:`~repro.analysis.experiments.FIGURE5_MU`, which explains why)
+and expose the parameter.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.analysis.experiments import (
     FIGURE5_EVENTS,
     FIGURE5_MU,
     FIGURE5_N_GRID,
-    ModelCache,
     analysis_runner,
     scenario_spec,
 )
@@ -77,11 +77,9 @@ def compute_figure5(
     d_grid: tuple[float, ...] = FIGURE5_D_GRID,
     n_events: int = FIGURE5_EVENTS,
     record_every: int = 500,
-    cache: ModelCache | None = None,
     runner: SweepRunner | None = None,
 ) -> list[Figure5Curve]:
     """Evaluate the four curves of Figure 5 through the sweep runner."""
-    del cache
     points = figure5_specs(mu, n_grid, d_grid, n_events, record_every)
     results = analysis_runner(runner).sweep([spec for spec, _ in points])
     return [

@@ -2,9 +2,7 @@
 
 Runs every analytical experiment (Tables I-II, Figures 3-5, the
 ablations) and assembles a single markdown document with the
-paper-vs-measured record and all shape-check verdicts -- the
-machine-generated counterpart of the repository's hand-written
-EXPERIMENTS.md.
+paper-vs-measured record and all shape-check verdicts.
 
 Exposed through the CLI as ``python -m repro report --out results/``
 (the default experiment set omits it because it reruns everything).
@@ -47,7 +45,7 @@ def build_sections(cache: ModelCache | None = None) -> list[ReportSection]:
     cache = cache if cache is not None else ModelCache()
     sections = []
 
-    cells1 = tab1.compute_table1(cache=cache)
+    cells1 = tab1.compute_table1()
     gap = tab1.max_relative_gap(cells1)
     sections.append(
         ReportSection(
@@ -58,7 +56,7 @@ def build_sections(cache: ModelCache | None = None) -> list[ReportSection]:
         )
     )
 
-    rows2 = tab2.compute_table2(cache=cache)
+    rows2 = tab2.compute_table2()
     sections.append(
         ReportSection(
             title="Table II — successive sojourn times",
@@ -71,7 +69,7 @@ def build_sections(cache: ModelCache | None = None) -> list[ReportSection]:
         )
     )
 
-    cells3 = fig3.compute_figure3(cache=cache)
+    cells3 = fig3.compute_figure3()
     checks3 = fig3.shape_checks(cells3)
     sections.append(
         ReportSection(
@@ -81,7 +79,7 @@ def build_sections(cache: ModelCache | None = None) -> list[ReportSection]:
         )
     )
 
-    cells4 = fig4.compute_figure4(cache=cache)
+    cells4 = fig4.compute_figure4()
     checks4 = fig4.shape_checks(cells4)
     sections.append(
         ReportSection(
@@ -91,7 +89,7 @@ def build_sections(cache: ModelCache | None = None) -> list[ReportSection]:
         )
     )
 
-    curves5 = fig5.compute_figure5(cache=cache)
+    curves5 = fig5.compute_figure5()
     checks5 = fig5.shape_checks(curves5)
     sections.append(
         ReportSection(

@@ -4,7 +4,8 @@
 d in {0.95, 0.99, 0.999}, k = 1, alpha = delta.  The published cell at
 (mu = 10 %, d = 0.999) reads 1518 but is inconsistent with the ~7x10^5
 blow-up factor of every other column; our computation gives ~1.5x10^6
-(the paper cell most likely lost its exponent) -- see EXPERIMENTS.md.
+(the paper cell most likely lost its exponent), so that cell is
+rendered as suspect rather than compared.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from repro.analysis.experiments import (
     TABLE1_D_GRID,
     TABLE1_MU_GRID,
-    ModelCache,
     analysis_runner,
     analytic_spec,
     mu_percent,
@@ -64,14 +64,9 @@ def table1_specs() -> list[ScenarioSpec]:
 
 
 def compute_table1(
-    cache: ModelCache | None = None, runner: SweepRunner | None = None
+    runner: SweepRunner | None = None,
 ) -> list[Table1Cell]:
-    """Evaluate every cell of Table I through the sweep runner.
-
-    ``cache`` is accepted for backward compatibility; model reuse now
-    happens in the analytic backend's per-process memo.
-    """
-    del cache
+    """Evaluate every cell of Table I through the sweep runner."""
     results = analysis_runner(runner).sweep(table1_specs())
     grid = [(mu, d) for mu in TABLE1_MU_GRID for d in TABLE1_D_GRID]
     cells = []

@@ -7,8 +7,7 @@ headline observation: the chain barely alternates --
 
 The published cell ``E(T_P,2) = 0.26`` at mu = 20 % breaks the
 monotone pattern of its row (0.004 at 10 %, 0.075 at 30 %); our
-computation gives ~0.026, pointing to a typo (dropped zero) -- flagged
-in EXPERIMENTS.md.
+computation gives ~0.026, pointing to a typo (dropped zero).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 from repro.analysis.experiments import (
     TABLE2_D,
     TABLE2_MU_GRID,
-    ModelCache,
     analysis_runner,
     analytic_spec,
     mu_percent,
@@ -62,10 +60,9 @@ def table2_specs(
 
 
 def compute_table2(
-    cache: ModelCache | None = None, runner: SweepRunner | None = None
+    runner: SweepRunner | None = None,
 ) -> list[Table2Row]:
     """Evaluate Relations (7) and (8) for n = 1, 2 plus the totals."""
-    del cache
     results = analysis_runner(runner).sweep(table2_specs())
     rows = []
     for mu, result in zip(TABLE2_MU_GRID, results):

@@ -385,6 +385,18 @@ def _run_scenario(arguments) -> int:
 
 # -- distributed fabric ------------------------------------------------------
 
+def _ledger_dir(text: str) -> pathlib.Path:
+    """``--ledger`` type: a ledger directory, refusing a single-file
+    ledger of an older release with its migration (see
+    :func:`~repro.distributed.ledger.check_ledger_path`)."""
+    from repro.distributed.ledger import check_ledger_path
+
+    try:
+        return check_ledger_path(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def _run_coordinator(arguments) -> int:
     """``repro sweep-coordinator``: serve a sweep's durable job queue."""
     from repro.distributed.coordinator import SweepCoordinator
@@ -661,7 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     # -- distributed fabric --------------------------------------------------
-    default_ledger = DEFAULT_CACHE_DIR / "sweep-ledger.jsonl"
+    # A string, so argparse runs ``_ledger_dir`` on the default too.
+    default_ledger = str(DEFAULT_CACHE_DIR / "sweep-ledger")
 
     coordinator = subparsers.add_parser(
         "sweep-coordinator",
@@ -689,9 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     coordinator.add_argument(
         "--ledger",
-        type=pathlib.Path,
+        type=_ledger_dir,
         default=default_ledger,
-        help=f"durable JSONL job ledger (default: {default_ledger})",
+        help=f"job ledger directory (default: {default_ledger})",
     )
     coordinator.add_argument(
         "--cache-dir",
@@ -721,9 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help=(
-            "compact a sharded ledger (--ledger pointing at a "
-            "directory) once its shard tail exceeds this many bytes "
-            "(0 disables; default: 0)"
+            "fold the ledger's shards into its snapshot once they "
+            "exceed this many bytes (0 disables; default: 0)"
         ),
     )
 
@@ -798,9 +810,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--ledger",
-        type=pathlib.Path,
+        type=_ledger_dir,
         default=default_ledger,
-        help="job ledger backing /progress "
+        help="job ledger directory backing /progress "
         f"(default: {default_ledger})",
     )
     serve.add_argument(
@@ -834,9 +846,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--ledger",
-        type=pathlib.Path,
+        type=_ledger_dir,
         default=default_ledger,
-        help=f"job ledger to replay (default: {default_ledger})",
+        help=f"job ledger directory to replay (default: {default_ledger})",
     )
     trace.add_argument(
         "--telemetry",

@@ -6,8 +6,8 @@ over local processes; this package fans it over *hosts*:
 * :mod:`~repro.distributed.protocol` -- length-prefixed JSON frames
   (CLAIM / ASSIGN / RESULT / HEARTBEAT / SHUTDOWN) over TCP;
 * :mod:`~repro.distributed.ledger` -- a durable, replayable job queue
-  keyed by each point's sha256 content address: one JSONL file, or a
-  per-sweep sharded directory with snapshot + compaction;
+  keyed by each point's sha256 content address: a directory of
+  per-sweep JSONL shards with snapshot + compaction;
 * :mod:`~repro.distributed.coordinator` -- expands a sweep, hands
   points to any number of workers, folds results into the shared
   content-addressed store, and resumes after a crash from the ledger;
@@ -39,12 +39,10 @@ _EXPORTS = {
     "MAX_FRAME_BYTES": "repro.distributed.protocol",
     "ProtocolError": "repro.distributed.protocol",
     "ResultsService": "repro.distributed.service",
-    "ShardedLedger": "repro.distributed.ledger",
     "SweepCoordinator": "repro.distributed.coordinator",
     "SweepLedger": "repro.distributed.ledger",
     "decode_frame": "repro.distributed.protocol",
     "encode_frame": "repro.distributed.protocol",
-    "open_ledger": "repro.distributed.ledger",
     "read_frame": "repro.distributed.protocol",
     "run_worker": "repro.distributed.worker",
     "worker_loop": "repro.distributed.worker",

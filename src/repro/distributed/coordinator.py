@@ -1,7 +1,7 @@
 """The coordinator: durable job queue + TCP assignment of sweep points.
 
 One :class:`SweepCoordinator` owns a sweep: it expands the grid,
-records every point into the JSONL job ledger, serves CLAIM requests
+records every point into the durable job ledger, serves CLAIM requests
 from any number of ``repro worker`` processes (local or remote) over
 the length-prefixed JSON protocol, and folds each RESULT back into the
 shared content-addressed store -- atomically, then ledgered as done --
@@ -71,9 +71,7 @@ from repro.distributed.ledger import (
     EVENT_CANCELLED,
     EVENT_SCHEDULED,
     EVENT_SUBMITTED,
-    ShardedLedger,
     SweepLedger,
-    open_ledger,
 )
 from repro.distributed.protocol import (
     ProtocolError,
@@ -206,7 +204,7 @@ class SweepCoordinator:
         self._publish_retries: collections.Counter[str] = (
             collections.Counter()
         )
-        self._ledger: SweepLedger | ShardedLedger | None = None
+        self._ledger: SweepLedger | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._complete: asyncio.Event | None = None
         self._stopped = False
@@ -229,11 +227,9 @@ class SweepCoordinator:
         self._lease_requeued: collections.Counter[str] = (
             collections.Counter()
         )
-        # Ledger-tail cursor (complete lines only; a torn tail stays
-        # unconsumed): a byte offset for the single-file layout, a
-        # per-shard offset map for the sharded one -- opaque here, the
-        # ledger's read_tail owns its meaning.
-        self._tail_cursor: Any = None
+        # Ledger-tail cursor: per-shard byte offsets of the complete
+        # lines already ingested (a torn tail stays unconsumed).
+        self._tail_cursor: dict[str, int] = {}
         # Cancellation: revoked point keys (subset of _by_key), the
         # sweeps already seen cancelled, and each submitted sweep's
         # membership (needed to resolve a cancel to keys).
@@ -245,8 +241,8 @@ class SweepCoordinator:
         # points of this coordinator's own spec file.  Carried on
         # every ASSIGN frame and every lifecycle ledger record.
         self._trace_by_key: dict[str, str] = {}
-        # Compact the sharded ledger whenever its uncompacted shard
-        # bytes exceed this (None disables; ignored for file ledgers).
+        # Compact the ledger whenever its uncompacted shard bytes
+        # exceed this (None disables).
         if compact_tail_bytes is not None and compact_tail_bytes <= 0:
             raise ValueError(
                 f"compact_tail_bytes must be positive, "
@@ -279,7 +275,7 @@ class SweepCoordinator:
         self._loop = asyncio.get_running_loop()
         self._complete = asyncio.Event()
         if self._ledger_path is not None:
-            self._ledger = open_ledger(self._ledger_path)
+            self._ledger = SweepLedger(self._ledger_path)
         background: list[asyncio.Task] = []
         try:
             self._build_queue()
@@ -754,16 +750,14 @@ class SweepCoordinator:
                 self._update_queue_gauges()
 
     def _maybe_compact(self) -> None:
-        """Fold the sharded ledger into its snapshot once the
-        uncompacted shard bytes cross the threshold.
+        """Fold the ledger into its snapshot once the uncompacted
+        shard bytes cross the threshold.
 
         Inline on the event loop: the work is bounded by the threshold
         itself (we compact *because* the tail just crossed it), and
         appends in this process serialize against the fold anyway.
         """
-        if self._compact_tail_bytes is None or not isinstance(
-            self._ledger, ShardedLedger
-        ):
+        if self._compact_tail_bytes is None or self._ledger is None:
             return
         if self._ledger.tail_size() >= self._compact_tail_bytes:
             self._ledger.compact()

@@ -16,15 +16,26 @@ address (the same key that names its cache file)::
      "keys": ["<sha256>", ...]}
     {"event": "cancelled", "sweep": "<sha256>"}
 
+A ledger is a *directory*::
+
+    snapshot.json             atomic fold of everything compacted
+    compaction-meta.json      small stamp: generation, time, counts
+    shards/<sweep-id>.jsonl   events of one submitted sweep
+    shards/_unassigned.jsonl  events no sweep claims (spec-file
+                              points, foreign keys)
+
 Appends go through :class:`~repro.scenario.store.JsonlAppender` (one
 ``O_APPEND`` write per record), so a crashed writer loses at most its
-final, torn line -- which replay skips.  Replay folds the event stream
-into per-key terminal state: ``done`` and ``failed`` are absorbing; a
-``claimed`` without a subsequent terminal event is *stale* after a
-crash and its point is simply pending again; ``requeued`` records a
-coordinator explicitly reclaiming a lease.  The ``done`` record is
-appended only *after* the result has been atomically published to the
-content-addressed store, so "ledgered done" implies "readable result".
+final, torn line -- which replay skips.  Only ``done``/``failed``,
+``submitted`` and ``cancelled`` records are fsynced: those are the
+ones a caller is promised will survive a crash.  Replay folds the
+snapshot, then every shard, into per-key terminal state: ``done`` and
+``failed`` are absorbing; a ``claimed`` without a subsequent terminal
+event is *stale* after a crash and its point is simply pending again;
+``requeued`` records a coordinator explicitly reclaiming a lease.  The
+``done`` record is appended only *after* the result has been
+atomically published to the content-addressed store, so "ledgered
+done" implies "readable result".
 
 ``submitted`` groups points into one named sweep -- the unit ``POST
 /submit`` accepts and ``POST /cancel`` revokes (``cancelled`` is
@@ -34,23 +45,18 @@ write, the submit service and the coordinator can append to the same
 ledger from different processes without locking: lines interleave,
 they never tear.
 
-Two layouts share these semantics behind :func:`open_ledger`:
+:meth:`SweepLedger.compact` periodically folds the shards into the
+snapshot.  The fold is idempotent for every event type, which is what
+makes compaction crash-safe: a writer killed between the snapshot
+publish and the shard deletions leaves events folded twice on the next
+replay, never lost or un-folded.  The fold itself is
+:func:`fold_record` -- one function shared by replay, snapshot restore
+and the property tests that prove the compacted fold equals the full
+fold.
 
-* :class:`SweepLedger` -- everything in one ``.jsonl`` file.  Simple,
-  great for one-shot sweeps; a long-lived ``--watch`` fabric tails an
-  ever-growing file.
-* :class:`ShardedLedger` -- a *directory*: one shard file per
-  submitted sweep under ``shards/`` (plus ``_unassigned.jsonl`` for
-  points no sweep claims), periodically folded into an atomic
-  ``snapshot.json`` by :meth:`ShardedLedger.compact`.  Replay is then
-  snapshot + surviving shard tails.  The fold is idempotent for every
-  event type, which is what makes compaction crash-safe: a writer
-  killed between the snapshot publish and the shard deletions leaves
-  events folded twice on the next replay, never lost or un-folded.
-
-The fold itself is :func:`fold_record` -- one function shared by file
-replay, directory replay, snapshot restore and the property tests
-that prove the compacted fold equals the full fold.
+Older releases could also keep a ledger in one ``.jsonl`` file.  Since
+replay folds every shard, such a file replays unchanged once moved into
+place: ``mkdir -p L/shards && mv L.jsonl L/shards/_unassigned.jsonl``.
 """
 
 from __future__ import annotations
@@ -68,13 +74,12 @@ from repro.scenario.store import JsonlAppender, atomic_write_json, read_jsonl
 
 __all__ = [
     "LedgerState",
-    "ShardedLedger",
     "SweepLedger",
+    "check_ledger_path",
     "fold_record",
-    "is_sharded",
     "iter_ledger_records",
     "ledger_stamp",
-    "open_ledger",
+    "ledger_stats",
     "replay_ledger",
 ]
 
@@ -94,7 +99,7 @@ _EVENTS = {
     EVENT_FAILED,
 }
 
-#: Files of the sharded layout.
+#: Files of the ledger directory.
 SNAPSHOT_NAME = "snapshot.json"
 COMPACTION_META_NAME = "compaction-meta.json"
 SHARD_DIR_NAME = "shards"
@@ -248,40 +253,84 @@ def _state_from_dict(payload: dict[str, Any]) -> LedgerState:
     )
 
 
-# -- layout dispatch ----------------------------------------------------------
+# -- reading a ledger directory ----------------------------------------------
 
 
-def is_sharded(path: str | pathlib.Path) -> bool:
-    """Whether ``path`` names (or should become) a sharded ledger.
+def check_ledger_path(path: str | pathlib.Path) -> pathlib.Path:
+    """``path`` as a ledger root, refusing a single-file ledger.
 
-    An existing directory is sharded; an existing file is not; a path
-    that exists as neither is sharded iff it has no file extension
-    (``results/ledger`` makes a directory, ``results/ledger.jsonl`` a
-    file) -- so both CLIs and tests pick the layout by spelling.
+    An older release kept a ledger in one file: either ``path`` itself
+    or, while ``path`` does not exist yet, its ``path.jsonl`` sibling
+    (the old default spelling).  Raise with the one-line move that
+    adopts it (see the module docstring) rather than guess -- an
+    automatic move would add a crash window of its own, and silently
+    starting empty would drop the old ledger's pending sweeps.
     """
     path = pathlib.Path(path)
-    if path.is_dir():
-        return True
-    if path.exists():
-        return False
-    return path.suffix == ""
+    legacy = path if path.exists() else path.with_name(f"{path.name}.jsonl")
+    if legacy.is_file():
+        root = legacy.with_suffix("") if legacy.suffix else legacy.with_name(
+            f"{legacy.name}-ledger"
+        )
+        raise ValueError(
+            f"{legacy} is a single-file ledger, but a ledger is a "
+            f"directory; adopt it with 'mkdir -p {root}/{SHARD_DIR_NAME} "
+            f"&& mv {legacy} {root}/{SHARD_DIR_NAME}/{UNASSIGNED_SHARD}"
+            f".jsonl' and use {root}"
+        )
+    return path
 
 
-def open_ledger(
+def _shard_files(root: pathlib.Path) -> list[pathlib.Path]:
+    return sorted((root / SHARD_DIR_NAME).glob("*.jsonl"))
+
+
+def _shard_stats(root: pathlib.Path) -> dict[str, int]:
+    stats: dict[str, int] = {}
+    for file in _shard_files(root):
+        try:
+            stats[file.name] = file.stat().st_size
+        except OSError:
+            continue
+    return stats
+
+
+def _last_compaction(root: pathlib.Path) -> dict[str, Any] | None:
+    try:
+        payload = json.loads((root / COMPACTION_META_NAME).read_text())
+    except (OSError, json.JSONDecodeError):
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
+def ledger_stats(
     path: str | pathlib.Path,
-) -> "SweepLedger | ShardedLedger":
-    """The append-side ledger for ``path``, whichever layout it is."""
-    if is_sharded(path):
-        return ShardedLedger(path)
-    return SweepLedger(path)
+) -> tuple[dict[str, int], dict[str, Any] | None]:
+    """``({shard file name: bytes}, last compaction stamp or None)``.
+
+    Read-only -- creates nothing, opens no appender -- so monitoring
+    routes can call it on every scrape.
+    """
+    root = pathlib.Path(path)
+    return _shard_stats(root), _last_compaction(root)
 
 
 def replay_ledger(path: str | pathlib.Path) -> LedgerState:
-    """Fold any ledger (file or directory) without opening appenders."""
-    path = pathlib.Path(path)
-    if is_sharded(path):
-        return _replay_dir(path)
-    return _replay_file(path)
+    """Fold the ledger at ``path`` into per-key terminal state.
+
+    Snapshot first, then every shard.  Tolerates unparseable fragment
+    lines (crash-mid-append artifacts, isolated by the appender's
+    boundary repair; losing one only re-runs idempotent work), but
+    raises on records that parse yet carry a malformed event -- a
+    ledger that lies about ``done`` points must fail loudly, not
+    resume quietly.  A missing ledger replays empty.
+    """
+    root = check_ledger_path(path)
+    _, state = _load_snapshot(root)
+    for file in _shard_files(root):
+        for record in read_jsonl(file, strict=False):
+            fold_record(state, record, source=str(file))
+    return state
 
 
 def iter_ledger_records(
@@ -291,17 +340,11 @@ def iter_ledger_records(
 
     For consumers that need the per-event fields replay discards --
     the ``ts`` stamps the timeline joins on, requeue reasons, elapsed
-    times.  A sharded ledger yields only its uncompacted shard events
-    (compaction folds the rest into the snapshot, erasing the raw
-    lines by design); torn tails are skipped, same as replay.
+    times.  Yields only the uncompacted shard events (compaction
+    folds the rest into the snapshot, erasing the raw lines by
+    design); torn tails are skipped, same as replay.
     """
-    path = pathlib.Path(path)
-    if is_sharded(path):
-        shards = path / SHARD_DIR_NAME
-        files = sorted(shards.glob("*.jsonl")) if shards.is_dir() else []
-    else:
-        files = [path]
-    for file in files:
+    for file in _shard_files(pathlib.Path(path)):
         for record in read_jsonl(file, strict=False):
             if isinstance(record, dict):
                 yield record
@@ -310,34 +353,20 @@ def iter_ledger_records(
 def ledger_stamp(path: str | pathlib.Path):
     """A hashable freshness stamp: equal stamps imply equal replays.
 
-    Files stamp as ``(size, mtime_ns)``; directories as the sorted
-    tuple of every snapshot/shard file's ``(name, size, mtime_ns)``.
-    ``None`` when nothing exists yet.
+    The sorted tuple of every snapshot/shard file's ``(name, size,
+    mtime_ns)`` -- so an appended shard, a fresh snapshot *and* a
+    compaction that deleted shards all change it.  ``None`` when
+    nothing exists yet.
     """
-    path = pathlib.Path(path)
-    if path.is_dir():
-        parts = []
-        for file in sorted(
-            [path / SNAPSHOT_NAME, *(path / SHARD_DIR_NAME).glob("*.jsonl")]
-        ):
-            try:
-                stat = file.stat()
-            except OSError:
-                continue
-            parts.append((file.name, stat.st_size, stat.st_mtime_ns))
-        return tuple(parts) if parts else None
-    try:
-        stat = path.stat()
-    except OSError:
-        return None
-    return (stat.st_size, stat.st_mtime_ns)
-
-
-def _replay_file(path: pathlib.Path) -> LedgerState:
-    state = LedgerState()
-    for record in read_jsonl(path, strict=False):
-        fold_record(state, record, source=str(path))
-    return state
+    root = pathlib.Path(path)
+    parts = []
+    for file in [root / SNAPSHOT_NAME, *_shard_files(root)]:
+        try:
+            stat = file.stat()
+        except OSError:
+            continue
+        parts.append((file.name, stat.st_size, stat.st_mtime_ns))
+    return tuple(parts) if parts else None
 
 
 def _load_snapshot(root: pathlib.Path) -> tuple[int, LedgerState]:
@@ -361,16 +390,6 @@ def _load_snapshot(root: pathlib.Path) -> tuple[int, LedgerState]:
     return int(payload.get("generation", 0)), _state_from_dict(
         payload["state"]
     )
-
-
-def _replay_dir(root: pathlib.Path) -> LedgerState:
-    _, state = _load_snapshot(root)
-    shards = root / SHARD_DIR_NAME
-    if shards.is_dir():
-        for file in sorted(shards.glob("*.jsonl")):
-            for record in read_jsonl(file, strict=False):
-                fold_record(state, record, source=str(file))
-    return state
 
 
 def _parse_tail(data: bytes) -> tuple[list[dict[str, Any]], int]:
@@ -397,31 +416,50 @@ def _parse_tail(data: bytes) -> tuple[list[dict[str, Any]], int]:
 
 
 class SweepLedger:
-    """Append-side API over one single-file ledger.
+    """Append side of a ledger directory, plus tailing and compaction.
 
     Writers are the coordinator (lifecycle events) and the submit
     service (``scheduled``/``submitted``/``cancelled`` batches) --
     safe concurrently because every record is one whole-line
-    ``O_APPEND`` write.  Readers use :meth:`replay` or the classmethod
-    :meth:`replay_path` (which also dispatches sharded directories).
+    ``O_APPEND`` write.
+
+    Lifecycle events route to the shard of the sweep that submitted
+    their key (learned from ``submitted`` records at replay, at tail
+    ingestion, or from this process's own submits), so one sweep's
+    churn stays in one file and :meth:`compact` can retire whole
+    sweeps at a time.  Routing is an *optimization*, never a
+    correctness requirement: replay folds every shard, so a record
+    landing in ``_unassigned`` is merely less tidy.
+
+    Multi-process safety of :meth:`compact` (same discipline as the
+    rest of the store layer -- no locks, only atomic publishes):
+
+    1. fold snapshot + every shard, remembering each shard's size at
+       fold time;
+    2. publish the new snapshot via ``atomic_write_json``;
+    3. delete only shards whose size is *unchanged* since step 1 --
+       a shard another process appended to meanwhile survives, and
+       its already-folded prefix simply folds again next replay
+       (idempotent).
+
+    A crash anywhere leaves either the old snapshot + all shards or
+    the new snapshot + a subset of shards -- both replay to the same
+    state.
     """
 
     def __init__(self, path: str | pathlib.Path) -> None:
-        self._path = pathlib.Path(path)
-        # Terminal events ("done"/"failed") fsync per record -- they
-        # must survive a crash, or a resumed coordinator would re-run
-        # points whose results it already has.  "scheduled"/"claimed"
-        # records skip the flush: losing one only costs a reschedule or
-        # a stale-claim diagnostic, and per-assignment fsyncs would
-        # serialize the whole fabric on disk latency.
-        self._appender = JsonlAppender(
-            self._path, fsync=False, fault_site="ledger.append"
-        )
+        self._root = check_ledger_path(path)
+        self._shards = self._root / SHARD_DIR_NAME
+        self._shards.mkdir(parents=True, exist_ok=True)
+        self._appenders: dict[str, JsonlAppender] = {}
+        self._routes: dict[str, str] = {}
+        self._routes_loaded = False
+        self._lock = threading.Lock()
 
     @property
     def path(self) -> pathlib.Path:
-        """The ledger file."""
-        return self._path
+        """The ledger root directory."""
+        return self._root
 
     # -- append side --------------------------------------------------------
 
@@ -437,11 +475,14 @@ class SweepLedger:
         ``already_scheduled`` lets a caller that just replayed the
         ledger pass the known keys instead of paying a second full
         replay here; ``sweep`` labels the records with the submitting
-        sweep id (and, in the sharded layout, routes them to its
-        shard); ``traces`` maps keys to the trace ids minted at
-        submit, stamped onto the records so the ids survive any crash
-        the sweep itself survives.
+        sweep id and routes them (and all later lifecycle events of
+        these keys) to its shard; ``traces`` maps keys to the trace
+        ids minted at submit, stamped onto the records so the ids
+        survive any crash the sweep itself survives.
         """
+        specs = list(specs)
+        if sweep is not None:
+            self._note_routes(sweep, (spec.key() for spec in specs))
         if already_scheduled is None:
             already_scheduled = set(self.replay().scheduled)
         for spec in specs:
@@ -457,7 +498,7 @@ class SweepLedger:
                 record["sweep"] = sweep
             if traces is not None and key in traces:
                 record["trace"] = traces[key]
-            self._append(record)
+            self._append(record, sweep=sweep)
 
     def record_claimed(
         self, key: str, worker: str, trace: str | None = None
@@ -568,117 +609,35 @@ class SweepLedger:
         fsync: bool | None = None,
         sweep: str | None = None,
     ) -> None:
-        # ``sweep`` is routing advice for the sharded subclass; the
-        # single file ignores it.  Every record is wall-clock stamped
-        # at append time -- the raw-record timestamps the timeline's
-        # queue-wait/total columns are computed from.
+        # Every record is wall-clock stamped at append time -- the
+        # raw-record timestamps the timeline's queue-wait/total
+        # columns are computed from.  ``sweep`` routes by explicit
+        # sweep id; without it the record follows its key's route.
         record.setdefault("ts", round(time.time(), 6))
-        self._appender.append(record, fsync=fsync)
+        if sweep is not None:
+            shard = self._shard_name(sweep)
+            if record.get("event") == EVENT_SUBMITTED:
+                self._note_routes(sweep, record.get("keys", []))
+        else:
+            self._ensure_routes()
+            shard = self._routes.get(
+                str(record.get("key")), UNASSIGNED_SHARD
+            )
+        with self._lock:
+            self._appender(shard).append(record, fsync=fsync)
 
     def close(self) -> None:
-        """Release the append descriptor."""
-        self._appender.close()
+        """Release every append descriptor."""
+        with self._lock:
+            for appender in self._appenders.values():
+                appender.close()
+            self._appenders.clear()
 
     def __enter__(self) -> "SweepLedger":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- replay side --------------------------------------------------------
-
-    def replay(self) -> LedgerState:
-        """Fold this ledger's event stream (see :meth:`replay_path`)."""
-        return _replay_file(self._path)
-
-    @classmethod
-    def replay_path(cls, path: str | pathlib.Path) -> LedgerState:
-        """Fold a ledger (file *or* sharded directory) into per-key
-        terminal state.
-
-        Tolerates unparseable fragment lines (crash-mid-append
-        artifacts, isolated by the appender's boundary repair; losing
-        one only re-runs idempotent work), but raises on records that
-        parse yet carry a malformed event -- a ledger that lies about
-        ``done`` points must fail loudly, not resume quietly.
-        """
-        return replay_ledger(path)
-
-    def read_tail(
-        self, cursor: int | None = None
-    ) -> tuple[list[dict[str, Any]], int]:
-        """``(records, new_cursor)`` appended since ``cursor``.
-
-        Complete lines only -- a torn final line stays unconsumed for
-        the next poll.  A file that shrank under the cursor (rotated
-        externally) is re-read from zero; the fold's idempotence makes
-        re-seeing records safe.
-        """
-        offset = int(cursor or 0)
-        try:
-            size = self._path.stat().st_size
-            if size < offset:
-                offset = 0
-            with open(self._path, "rb") as handle:
-                handle.seek(offset)
-                data = handle.read()
-        except OSError:
-            return [], offset
-        records, consumed = _parse_tail(data)
-        return records, offset + consumed
-
-
-class ShardedLedger(SweepLedger):
-    """A directory ledger: per-sweep shards + snapshot compaction.
-
-    Layout under the root directory::
-
-        snapshot.json             atomic fold of everything compacted
-        compaction-meta.json      small stamp: generation, time, counts
-        shards/<sweep-id>.jsonl   events of one submitted sweep
-        shards/_unassigned.jsonl  events no sweep claims (spec-file
-                                  points, foreign keys)
-
-    Lifecycle events route to the shard of the sweep that submitted
-    their key (learned from ``submitted`` records at replay, at tail
-    ingestion, or from this process's own submits), so one sweep's
-    churn stays in one file and :meth:`compact` can retire whole
-    sweeps at a time.  Routing is an *optimization*, never a
-    correctness requirement: replay folds every shard, so a record
-    landing in ``_unassigned`` is merely less tidy.
-
-    Multi-process safety of :meth:`compact` (same discipline as the
-    rest of the store layer -- no locks, only atomic publishes):
-
-    1. fold snapshot + every shard, remembering each shard's size at
-       fold time;
-    2. publish the new snapshot via ``atomic_write_json``;
-    3. delete only shards whose size is *unchanged* since step 1 --
-       a shard another process appended to meanwhile survives, and
-       its already-folded prefix simply folds again next replay
-       (idempotent).
-
-    A crash anywhere leaves either the old snapshot + all shards or
-    the new snapshot + a subset of shards -- both replay to the same
-    state.
-    """
-
-    def __init__(self, path: str | pathlib.Path) -> None:
-        self._root = pathlib.Path(path)
-        self._shards = self._root / SHARD_DIR_NAME
-        self._shards.mkdir(parents=True, exist_ok=True)
-        self._appenders: dict[str, JsonlAppender] = {}
-        self._routes: dict[str, str] = {}
-        self._routes_loaded = False
-        self._lock = threading.Lock()
-        # NOTE: deliberately no super().__init__ -- the single-file
-        # appender does not exist here.
-        self._path = self._root
-
-    @property
-    def path(self) -> pathlib.Path:
-        """The ledger root directory."""
-        return self._root
 
     # -- routing -------------------------------------------------------------
 
@@ -705,11 +664,16 @@ class ShardedLedger(SweepLedger):
         if self._routes_loaded:
             return
         self._routes_loaded = True
-        state = self.replay()
-        for sweep, keys in state.sweeps.items():
+        for sweep, keys in self.replay().sweeps.items():
             self._note_routes(sweep, keys)
 
     def _appender(self, shard: str) -> JsonlAppender:
+        # Appenders never fsync on their own: records that must survive
+        # a crash ask for it per append (see the module docstring).
+        # "scheduled"/"claimed"/"requeued" skip the flush -- losing one
+        # only costs a reschedule or a stale-claim diagnostic, and
+        # per-assignment fsyncs would serialize the whole fabric on
+        # disk latency.
         appender = self._appenders.get(shard)
         if appender is None:
             appender = JsonlAppender(
@@ -720,87 +684,31 @@ class ShardedLedger(SweepLedger):
             self._appenders[shard] = appender
         return appender
 
-    def _append(
-        self,
-        record: dict[str, Any],
-        fsync: bool | None = None,
-        sweep: str | None = None,
-    ) -> None:
-        record.setdefault("ts", round(time.time(), 6))
-        if sweep is not None:
-            shard = self._shard_name(sweep)
-            if record.get("event") == EVENT_SUBMITTED:
-                self._note_routes(sweep, record.get("keys", []))
-        else:
-            self._ensure_routes()
-            shard = self._routes.get(
-                str(record.get("key")), UNASSIGNED_SHARD
-            )
-        with self._lock:
-            self._appender(shard).append(record, fsync=fsync)
-
-    def record_scheduled(
-        self,
-        specs: Iterable[ScenarioSpec],
-        already_scheduled: set[str] | None = None,
-        sweep: str | None = None,
-        traces: Mapping[str, str] | None = None,
-    ) -> None:
-        if sweep is not None:
-            # Route the whole batch (and all later lifecycle events of
-            # these keys) to the submitting sweep's shard.
-            specs = list(specs)
-            self._note_routes(sweep, (spec.key() for spec in specs))
-            if already_scheduled is None:
-                already_scheduled = set(self.replay().scheduled)
-            for spec in specs:
-                key = spec.key()
-                if key in already_scheduled:
-                    continue
-                record: dict[str, Any] = {
-                    "event": EVENT_SCHEDULED,
-                    "key": key,
-                    "spec": spec.to_dict(),
-                    "sweep": sweep,
-                }
-                if traces is not None and key in traces:
-                    record["trace"] = traces[key]
-                self._append(record, sweep=sweep)
-            return
-        super().record_scheduled(specs, already_scheduled, sweep=None, traces=traces)
-
-    def close(self) -> None:
-        with self._lock:
-            for appender in self._appenders.values():
-                appender.close()
-            self._appenders.clear()
-
     # -- replay / tail -------------------------------------------------------
 
     def replay(self) -> LedgerState:
-        return _replay_dir(self._root)
+        """Fold this ledger (see :func:`replay_ledger`)."""
+        return replay_ledger(self._root)
 
     def read_tail(
         self, cursor: dict[str, int] | None = None
     ) -> tuple[list[dict[str, Any]], dict[str, int]]:
         """``(records, new_cursor)`` across every shard since ``cursor``.
 
-        The cursor maps shard file names to byte offsets.  A shard
-        that vanished (compacted away) drops from the cursor; one that
-        reappears (new events for an old sweep) re-reads from zero --
-        safe, because the fold is idempotent and the coordinator
-        skips events it already knows.  ``submitted`` records seen
-        here also teach this instance key->shard routing, so a
-        resident coordinator keeps routing fresh sweeps correctly.
+        The cursor maps shard file names to byte offsets.  Complete
+        lines only -- a torn final line stays unconsumed for the next
+        poll.  A shard that vanished (compacted away) drops from the
+        cursor; one that shrank or reappears (new events for an old
+        sweep) re-reads from zero -- safe, because the fold is
+        idempotent and the coordinator skips events it already knows.
+        ``submitted`` records seen here also teach this instance
+        key->shard routing, so a resident coordinator keeps routing
+        fresh sweeps correctly.
         """
         cursor = dict(cursor or {})
         records: list[dict[str, Any]] = []
-        try:
-            files = sorted(self._shards.glob("*.jsonl"))
-        except OSError:
-            return records, cursor
         live = set()
-        for file in files:
+        for file in _shard_files(self._root):
             name = file.name
             live.add(name)
             offset = cursor.get(name, 0)
@@ -837,39 +745,7 @@ class ShardedLedger(SweepLedger):
     def tail_size(self) -> int:
         """Total bytes of uncompacted shard events (the compaction
         trigger a resident coordinator watches)."""
-        total = 0
-        try:
-            for file in self._shards.glob("*.jsonl"):
-                try:
-                    total += file.stat().st_size
-                except OSError:
-                    continue
-        except OSError:
-            return 0
-        return total
-
-    def last_compaction(self) -> dict[str, Any] | None:
-        """The small stamp of the newest :meth:`compact` (or None)."""
-        try:
-            payload = json.loads(
-                (self._root / COMPACTION_META_NAME).read_text()
-            )
-        except (OSError, json.JSONDecodeError):
-            return None
-        return payload if isinstance(payload, dict) else None
-
-    def shard_stats(self) -> dict[str, int]:
-        """``{shard file name: size in bytes}`` (for ``/healthz``)."""
-        stats: dict[str, int] = {}
-        try:
-            for file in sorted(self._shards.glob("*.jsonl")):
-                try:
-                    stats[file.name] = file.stat().st_size
-                except OSError:
-                    continue
-        except OSError:
-            pass
-        return stats
+        return sum(_shard_stats(self._root).values())
 
     def compact(self) -> dict[str, Any]:
         """Fold every shard into a fresh atomic snapshot; retire the
@@ -885,7 +761,7 @@ class ShardedLedger(SweepLedger):
             faults.inject("ledger.compact", "fold")
             folded: list[tuple[pathlib.Path, int]] = []
             events = 0
-            for file in sorted(self._shards.glob("*.jsonl")):
+            for file in _shard_files(self._root):
                 try:
                     size = file.stat().st_size
                 except OSError:

@@ -56,8 +56,7 @@ files (atomically published, so a reader never observes a partial
 result), the append-only ledger, and the memoized index sidecar.
 Submits append whole ``O_APPEND`` lines, so they interleave safely
 with a live coordinator writing the same ledger from another process.
-Both ledger layouts are served: a single JSONL file, or the sharded
-directory (snapshot + per-sweep shards), whose freshness stamp covers
+Replays are memoized on the ledger's freshness stamp, which covers
 every file a compaction may touch.
 
 The request-routing core (:meth:`ResultsService.respond` /
@@ -81,10 +80,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
 from repro.distributed.ledger import (
-    ShardedLedger,
-    is_sharded,
+    SweepLedger,
     ledger_stamp,
-    open_ledger,
+    ledger_stats,
     replay_ledger,
 )
 from repro.obs import metrics as obs_metrics
@@ -145,11 +143,11 @@ _G_CANCELLED = obs_metrics.gauge(
 )
 _G_SHARDS = obs_metrics.gauge(
     "repro_ledger_shard_count",
-    "Uncompacted shard files of a sharded ledger",
+    "Uncompacted shard files of the job ledger",
 )
 _G_TAIL = obs_metrics.gauge(
     "repro_ledger_tail_bytes",
-    "Uncompacted shard bytes of a sharded ledger",
+    "Uncompacted shard bytes of the job ledger",
 )
 _G_GENERATION = obs_metrics.gauge(
     "repro_ledger_compaction_generation",
@@ -503,22 +501,11 @@ class ResultsService:
             _G_FAILED.set(len(state.failed))
             _G_REQUEUED.set(sum(state.requeues.values()))
             _G_CANCELLED.set(len(state.cancelled))
-        if is_sharded(self._ledger_path):
-            try:
-                ledger = ShardedLedger(self._ledger_path)
-            except OSError:
-                return
-            try:
-                stats = ledger.shard_stats()
-                _G_SHARDS.set(len(stats))
-                _G_TAIL.set(sum(stats.values()))
-                meta = ledger.last_compaction()
-                if meta is not None:
-                    _G_GENERATION.set(
-                        float(meta.get("generation", 0) or 0)
-                    )
-            finally:
-                ledger.close()
+        stats, meta = ledger_stats(self._ledger_path)
+        _G_SHARDS.set(len(stats))
+        _G_TAIL.set(sum(stats.values()))
+        if meta is not None:
+            _G_GENERATION.set(float(meta.get("generation", 0) or 0))
 
     def _metrics(self) -> tuple[int, str, bytes]:
         """The whole default registry, Prometheus text format.
@@ -536,10 +523,9 @@ class ResultsService:
         """Liveness plus the fabric's load-bearing gauges.
 
         A monitor watching this one route sees queue pressure
-        (``backlog``), cancellations, and -- on a sharded ledger --
-        per-shard sizes and the last compaction stamp, so "the ledger
-        is growing without bound" and "compaction stopped happening"
-        are both one scrape away.
+        (``backlog``), cancellations, per-shard sizes and the last
+        compaction stamp, so "the ledger is growing without bound" and
+        "compaction stopped happening" are both one scrape away.
         """
         # /healthz and /metrics tell the same story from the same
         # sources: a hit on either refreshes the registry's gauges.
@@ -565,16 +551,11 @@ class ResultsService:
                 payload["backlog"] = len(state.pending)
                 payload["cancelled_sweeps"] = len(state.cancelled)
                 payload["requeued"] = sum(state.requeues.values())
-            if is_sharded(self._ledger_path):
-                ledger = ShardedLedger(self._ledger_path)
-                try:
-                    stats = ledger.shard_stats()
-                    payload["shards"] = stats
-                    payload["shard_count"] = len(stats)
-                    payload["tail_bytes"] = sum(stats.values())
-                    payload["last_compaction"] = ledger.last_compaction()
-                finally:
-                    ledger.close()
+            stats, meta = ledger_stats(self._ledger_path)
+            payload["shards"] = stats
+            payload["shard_count"] = len(stats)
+            payload["tail_bytes"] = sum(stats.values())
+            payload["last_compaction"] = meta
         return self._json(200, payload)
 
     def _submit(
@@ -629,8 +610,8 @@ class ResultsService:
         # and every span any process emits for these points.
         trace = new_trace_id()
         with self._submit_lock:
-            with open_ledger(self._ledger_path) as ledger:
-                # Opening the ledger created the file if needed, so
+            with SweepLedger(self._ledger_path) as ledger:
+                # Opening the ledger created the directory, so
                 # the stamp-memoized replay is safe -- and O(new
                 # lines amortized) instead of a full re-parse per
                 # submit on a long-lived fabric.
@@ -745,7 +726,7 @@ class ResultsService:
                         "already_cancelled": True,
                     },
                 )
-            with open_ledger(self._ledger_path) as ledger:
+            with SweepLedger(self._ledger_path) as ledger:
                 ledger.record_cancelled(sweep)
             revoked = sum(
                 1
@@ -825,11 +806,9 @@ class ResultsService:
     def _replayed_ledger(self):
         """Replay the ledger, memoized on its freshness stamp.
 
-        The stamp covers whichever layout backs the path -- one
-        ``(size, mtime)`` pair for a JSONL file, the sorted per-file
-        tuple for a sharded directory (so an appended shard, a fresh
-        snapshot, *and* a compaction that deleted shards all
-        invalidate it).
+        The stamp is the sorted per-file tuple of the ledger directory,
+        so an appended shard, a fresh snapshot *and* a compaction that
+        deleted shards all invalidate it.
         """
         stamp = ledger_stamp(self._ledger_path)
         with self._replay_lock:

@@ -132,8 +132,8 @@ def pareto_sessions(
     """Poisson arrivals with heavy-tailed (Pareto) session durations.
 
     Measured P2P traces (e.g. Gnutella/Kad studies) exhibit heavy-tailed
-    sessions; this generator is the stand-in for such traces in the
-    offline environment (see DESIGN.md, "Substitutions").
+    sessions; this generator is the stand-in for such traces, which
+    the offline environment cannot download.
     """
     if shape <= 1.0:
         raise ValueError(

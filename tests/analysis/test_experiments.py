@@ -1,6 +1,4 @@
-"""Unit tests for the experiment grids and sweep runner."""
-
-import pytest
+"""Unit tests for the experiment grids and the model cache."""
 
 from repro.analysis.experiments import (
     D_GRID,
@@ -8,7 +6,6 @@ from repro.analysis.experiments import (
     ModelCache,
     base_parameters,
     mu_percent,
-    sweep,
 )
 from repro.core.parameters import ModelParameters
 
@@ -43,26 +40,3 @@ class TestModelCache:
             base_parameters(mu=0.2)
         )
 
-
-class TestSweep:
-    def test_sweep_evaluates_each_point(self):
-        points = [
-            (base_parameters(mu=mu), "delta") for mu in (0.0, 0.1)
-        ]
-        results = sweep(
-            iter(points),
-            lambda model, initial: {"E(T_S)": model.expected_time_safe(initial)},
-        )
-        assert len(results) == 2
-        assert results[0].metrics["E(T_S)"] == pytest.approx(12.0)
-        assert results[1].params.mu == 0.1
-
-    def test_sweep_shares_cache(self):
-        cache = ModelCache()
-        points = [(base_parameters(mu=0.1), "delta")] * 3
-        sweep(
-            iter(points),
-            lambda model, initial: {"x": 0.0},
-            cache=cache,
-        )
-        assert len(cache._models) == 1

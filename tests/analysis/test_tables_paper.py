@@ -3,18 +3,12 @@
 import pytest
 
 from repro.analysis import table1, table2
-from repro.analysis.experiments import ModelCache
-
-
-@pytest.fixture(scope="module")
-def cache():
-    return ModelCache()
 
 
 class TestTable1:
     @pytest.fixture(scope="class")
-    def cells(self, cache):
-        return table1.compute_table1(cache=cache)
+    def cells(self):
+        return table1.compute_table1()
 
     def test_grid_dimensions(self, cells):
         assert len(cells) == 4 * 3
@@ -43,8 +37,8 @@ class TestTable1:
 
 class TestTable2:
     @pytest.fixture(scope="class")
-    def rows(self, cache):
-        return table2.compute_table2(cache=cache)
+    def rows(self):
+        return table2.compute_table2()
 
     def test_row_count(self, rows):
         assert len(rows) == 4

@@ -38,8 +38,8 @@ import urllib.request
 
 import pytest
 
-from repro.distributed.ledger import SweepLedger
-from repro.distributed.service import ResultsService
+from repro.distributed.ledger import SweepLedger, replay_ledger
+from repro.distributed.service import ResultsService, sweep_id
 from repro.scenario.runner import SweepRunner
 from repro.scenario.spec import load_scenario_document
 from repro.scenario.store import JsonlAppender
@@ -141,7 +141,7 @@ def _assert_done_implies_published(ledger, cache, expected_keys) -> None:
     """The core durability invariant, checked after every kill."""
     if not ledger.exists():
         return
-    state = SweepLedger.replay_path(ledger)
+    state = replay_ledger(ledger)
     for key in state.done:
         assert (cache / f"{key}.json").exists(), (
             f"ledger says done but store has no file: {key}"
@@ -153,7 +153,7 @@ def _assert_done_implies_published(ledger, cache, expected_keys) -> None:
 def _ledger_complete(ledger, expected_keys) -> bool:
     if not ledger.exists():
         return False
-    state = SweepLedger.replay_path(ledger)
+    state = replay_ledger(ledger)
     return expected_keys <= state.done
 
 
@@ -169,13 +169,17 @@ def test_chaos_schedule_converges_to_serial_bytes(tmp_path, seed):
     SweepRunner(cache_dir=serial_dir).sweep(specs)
 
     cache = tmp_path / "cache"
-    ledger = tmp_path / "ledger.jsonl"
+    ledger = tmp_path / "ledger"
 
     # -- mid-submit crash artifact ------------------------------------------
     # A previous service instance was SIGKILLed partway through the
     # submit batch: some scheduled lines made it, the last one is torn
     # mid-record, the submitted record never landed.
-    with JsonlAppender(ledger) as torn:
+    # Submit routes by sweep id, so the killed submit wrote into that
+    # sweep's shard -- and the retried submit appends after the torn
+    # line there.
+    shard = ledger / "shards" / f"{sweep_id(list(expected_keys))}.jsonl"
+    with JsonlAppender(shard) as torn:
         for spec in specs[:3]:
             torn.append(
                 {
@@ -184,7 +188,7 @@ def test_chaos_schedule_converges_to_serial_bytes(tmp_path, seed):
                     "spec": spec.to_dict(),
                 }
             )
-    with open(ledger, "ab") as handle:
+    with open(shard, "ab") as handle:
         fragment = json.dumps(
             {
                 "event": "scheduled",
@@ -205,7 +209,7 @@ def test_chaos_schedule_converges_to_serial_bytes(tmp_path, seed):
         with urllib.request.urlopen(request, timeout=10) as reply:
             submitted = json.loads(reply.read())
     assert submitted["points"] == len(specs)
-    state = SweepLedger.replay_path(ledger)
+    state = replay_ledger(ledger)
     assert set(state.scheduled) == expected_keys  # torn fragment isolated
     assert set(state.sweeps[submitted["sweep"]]) == expected_keys
 
@@ -254,7 +258,7 @@ def test_chaos_schedule_converges_to_serial_bytes(tmp_path, seed):
     assert kills["coordinator"] + kills["worker"] == KILL_ROUNDS
 
     # -- convergence ---------------------------------------------------------
-    state = SweepLedger.replay_path(ledger)
+    state = replay_ledger(ledger)
     assert expected_keys <= state.done
     assert not (set(state.failed) & expected_keys)
     serial_files = sorted(p.name for p in serial_dir.glob("*.json"))
@@ -277,7 +281,7 @@ def test_single_fixed_kill_mid_sweep_recovers(tmp_path):
     SweepRunner(cache_dir=serial_dir).sweep(specs)
 
     cache = tmp_path / "cache"
-    ledger = tmp_path / "ledger.jsonl"
+    ledger = tmp_path / "ledger"
     with SweepLedger(ledger) as seed_ledger:
         seed_ledger.record_scheduled(specs)
 

@@ -1,7 +1,10 @@
 """CLI glue tests for the distributed subcommands."""
 
 import json
+import pathlib
 import threading
+
+import pytest
 
 from repro.cli import build_parser, main
 from repro.core.parameters import ModelParameters
@@ -39,13 +42,47 @@ class TestParser:
             ["sweep-coordinator", "spec.json", "--port", "0"]
         )
         assert coordinator.experiment == "sweep-coordinator"
-        assert coordinator.ledger.name == "sweep-ledger.jsonl"
+        assert coordinator.ledger.name == "sweep-ledger"
         worker = parser.parse_args(["worker", "--port", "7641", "--id", "w"])
         assert worker.experiment == "worker"
         assert worker.max_points is None
         serve = parser.parse_args(["serve", "--port", "0"])
         assert serve.experiment == "serve"
         assert serve.cache_dir.name == "scenarios"
+
+
+class TestLedgerFlag:
+    @pytest.mark.parametrize("pass_flag", [True, False])
+    @pytest.mark.parametrize(
+        "command",
+        [["sweep-coordinator", "--watch"], ["serve"], ["trace", "ab12"]],
+    )
+    def test_an_existing_file_is_refused_with_the_migration(
+        self, command, pass_flag, tmp_path, monkeypatch, capsys
+    ):
+        """A single-file ledger of an older release, passed as --ledger
+        or left at the old default spelling: every command exits
+        non-zero, names the one-line move, and leaves the file alone
+        (rather than starting the new default directory empty).  The
+        refusal happens while parsing, so the parser alone is driven:
+        a regression fails here instead of serving forever."""
+        monkeypatch.chdir(tmp_path)
+        legacy = pathlib.Path("results", "scenarios", "sweep-ledger.jsonl")
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text('{"event": "cancelled", "sweep": "ab12"}\n')
+        flag = ["--ledger", str(legacy)] if pass_flag else []
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args([*command, *flag])
+        assert exited.value.code != 0
+        root = legacy.with_suffix("")
+        assert (
+            f"mkdir -p {root}/shards && "
+            f"mv {legacy} {root}/shards/_unassigned.jsonl"
+        ) in capsys.readouterr().err
+        assert legacy.read_text() == (
+            '{"event": "cancelled", "sweep": "ab12"}\n'
+        )
+        assert not root.exists()
 
 
 class TestCoordinatorCommand:
@@ -65,7 +102,7 @@ class TestCoordinatorCommand:
                 "--cache-dir",
                 str(cache),
                 "--ledger",
-                str(tmp_path / "ledger.jsonl"),
+                str(tmp_path / "ledger"),
             ]
         )
         out = capsys.readouterr().out
@@ -81,7 +118,7 @@ class TestCoordinatorCommand:
         spec_file = tmp_path / "sweep.json"
         write_sweep_spec(spec_file)
         cache = tmp_path / "cache"
-        ledger = tmp_path / "ledger.jsonl"
+        ledger = tmp_path / "ledger"
         codes = {}
         # Probe a free ephemeral port (the CLI announces its port only
         # on stdout, which capsys owns during the test).
@@ -154,8 +191,8 @@ class TestNewFlags:
         """The one-shot recovery invocation: no grid, just the ledger
         -- the coordinator adopts its scheduled points and exits when
         they drain (here: immediately, the ledger is empty)."""
-        ledger = tmp_path / "ledger.jsonl"
-        ledger.write_text("")
+        ledger = tmp_path / "ledger"
+        ledger.mkdir()
         code = main(
             [
                 "sweep-coordinator",
@@ -193,7 +230,7 @@ class TestNewFlags:
                     "--cache-dir",
                     str(cache),
                     "--ledger",
-                    str(tmp_path / "ledger.jsonl"),
+                    str(tmp_path / "ledger"),
                 ]
             )
 

@@ -1,6 +1,6 @@
-"""Compaction correctness: the sharded ledger folds like the full one.
+"""Compaction correctness: the compacted ledger folds like the full one.
 
-The crash-safety story of :meth:`ShardedLedger.compact` rests on one
+The crash-safety story of :meth:`SweepLedger.compact` rests on one
 invariant -- the fold is idempotent for full streams, so replaying
 *snapshot + surviving shard tails* equals replaying every event ever
 appended, no matter where compaction (or a crash inside it) lands in
@@ -33,10 +33,9 @@ from repro.distributed import faults
 from repro.distributed.faults import FaultPlan, FaultRule
 from repro.distributed.ledger import (
     LedgerState,
-    ShardedLedger,
     SweepLedger,
     fold_record,
-    open_ledger,
+    ledger_stats,
     replay_ledger,
 )
 from repro.scenario.spec import ScenarioSpec
@@ -122,7 +121,7 @@ class TestCompactionUnit:
             ("scheduled", KEYS[2]),
             ("cancelled", "s1"),
         ]
-        with ShardedLedger(root) as sharded, ShardedLedger(twin) as plain:
+        with SweepLedger(root) as sharded, SweepLedger(twin) as plain:
             for event in events:
                 apply_event(sharded, event)
                 apply_event(plain, event)
@@ -136,7 +135,7 @@ class TestCompactionUnit:
 
     def test_compaction_is_idempotent(self, tmp_path):
         root = tmp_path / "ledger"
-        with ShardedLedger(root) as ledger:
+        with SweepLedger(root) as ledger:
             ledger.record_submitted("s1", KEYS[:2], name="grid")
             for key in KEYS[:2]:
                 apply_event(ledger, ("scheduled", key))
@@ -156,11 +155,11 @@ class TestCompactionUnit:
         the shard deletions must survive: compact only deletes shards
         whose size is unchanged since it folded them."""
         root = tmp_path / "ledger"
-        with ShardedLedger(root) as ledger:
+        with SweepLedger(root) as ledger:
             apply_event(ledger, ("scheduled", KEYS[0]))
             ledger.record_done(KEYS[0], "w0")
 
-            foreign = ShardedLedger(root)  # the racing writer
+            foreign = SweepLedger(root)  # the racing writer
             original = faults.inject
 
             def racing_inject(site, context=""):
@@ -180,15 +179,15 @@ class TestCompactionUnit:
 
     def test_tail_and_stats_reporting(self, tmp_path):
         root = tmp_path / "ledger"
-        with ShardedLedger(root) as ledger:
-            assert ledger.last_compaction() is None
+        with SweepLedger(root) as ledger:
+            assert ledger_stats(root)[1] is None
             ledger.record_submitted("s1", KEYS[:2], name="grid")
             apply_event(ledger, ("scheduled", KEYS[0]))
             assert ledger.tail_size() > 0
-            assert len(ledger.shard_stats()) >= 1
+            assert len(ledger_stats(root)[0]) >= 1
             ledger.compact()
             assert ledger.tail_size() == 0
-            stamp = ledger.last_compaction()
+            stamp = ledger_stats(root)[1]
             assert stamp is not None and stamp["generation"] == 1
 
 
@@ -251,7 +250,7 @@ class TestCompactionProperty:
         with tempfile.TemporaryDirectory() as scratch:
             root = pathlib.Path(scratch) / "ledger"
             twin = pathlib.Path(scratch) / "twin"
-            with ShardedLedger(root) as sharded, ShardedLedger(
+            with SweepLedger(root) as sharded, SweepLedger(
                 twin
             ) as plain:
                 cursor = 0
@@ -390,8 +389,7 @@ class TestKillMidCompaction:
         from repro.scenario.runner import SweepRunner
 
         SweepRunner(cache_dir=cache).sweep(specs)
-        with open_ledger(ledger) as handle:
-            assert isinstance(handle, ShardedLedger)
+        with SweepLedger(ledger) as handle:
             handle.record_scheduled(specs)
             for spec in specs:
                 handle.record_done(spec.key(), "preload")

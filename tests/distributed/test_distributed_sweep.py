@@ -106,7 +106,7 @@ class TestTwoWorkerEquivalence:
         driver = CoordinatorThread(
             specs,
             cache_dir=dist_dir,
-            ledger_path=tmp_path / "ledger.jsonl",
+            ledger_path=tmp_path / "ledger",
         )
         stats = run_workers(driver.port, 2)
         summary = driver.join()
@@ -138,7 +138,7 @@ class TestTwoWorkerEquivalence:
         driver = CoordinatorThread(
             duplicated,
             cache_dir=tmp_path / "cache",
-            ledger_path=tmp_path / "ledger.jsonl",
+            ledger_path=tmp_path / "ledger",
         )
         run_workers(driver.port, 2)
         summary = driver.join()
@@ -152,7 +152,7 @@ class TestTwoWorkerEquivalence:
         cache = tmp_path / "cache"
         SweepRunner(cache_dir=cache).sweep(specs[:7])
         driver = CoordinatorThread(
-            specs, cache_dir=cache, ledger_path=tmp_path / "ledger.jsonl"
+            specs, cache_dir=cache, ledger_path=tmp_path / "ledger"
         )
         run_workers(driver.port, 2)
         summary = driver.join()
@@ -169,7 +169,7 @@ class TestWorkerCrash:
         driver = CoordinatorThread(
             specs,
             cache_dir=tmp_path / "cache",
-            ledger_path=tmp_path / "ledger.jsonl",
+            ledger_path=tmp_path / "ledger",
         )
 
         async def claim_then_die() -> str:
@@ -201,7 +201,7 @@ class TestCoordinatorResume:
     def test_resume_runs_only_unfinished_points(self, tmp_path):
         specs = grid_18()
         cache = tmp_path / "cache"
-        ledger = tmp_path / "ledger.jsonl"
+        ledger = tmp_path / "ledger"
 
         first = CoordinatorThread(specs, cache_dir=cache, ledger_path=ledger)
         partial = run_workers(first.port, 1, max_points=5)
@@ -230,7 +230,7 @@ class TestCoordinatorResume:
         )
         specs = [*good, bad]
         cache = tmp_path / "cache"
-        ledger = tmp_path / "ledger.jsonl"
+        ledger = tmp_path / "ledger"
         first = CoordinatorThread(specs, cache_dir=cache, ledger_path=ledger)
         run_workers(first.port, 1)
         summary = first.join()
@@ -249,7 +249,7 @@ class TestCoordinatorResume:
     ):
         specs = grid_18()[:4]
         cache = tmp_path / "cache"
-        ledger = tmp_path / "ledger.jsonl"
+        ledger = tmp_path / "ledger"
         first = CoordinatorThread(specs, cache_dir=cache, ledger_path=ledger)
         run_workers(first.port, 2)
         first.join()
@@ -280,7 +280,7 @@ class TestFailures:
         driver = CoordinatorThread(
             specs,
             cache_dir=tmp_path / "cache",
-            ledger_path=tmp_path / "ledger.jsonl",
+            ledger_path=tmp_path / "ledger",
         )
         stats = run_workers(driver.port, 2)
         summary = driver.join()
@@ -289,9 +289,9 @@ class TestFailures:
         assert "SpecError" in summary["failed"][bad.key()]
         assert sum(s["failed"] for s in stats) == 1
         # The failure is in the durable ledger too.
-        from repro.distributed.ledger import SweepLedger
+        from repro.distributed.ledger import replay_ledger
 
-        state = SweepLedger.replay_path(tmp_path / "ledger.jsonl")
+        state = replay_ledger(tmp_path / "ledger")
         assert bad.key() in state.failed
 
 
@@ -422,7 +422,7 @@ class TestProtocolHygiene:
         driver = CoordinatorThread(
             specs,
             cache_dir=tmp_path / "cache",
-            ledger_path=tmp_path / "ledger.jsonl",
+            ledger_path=tmp_path / "ledger",
         )
         stats = run_workers(driver.port, 1)
         summary = driver.join()
@@ -442,7 +442,7 @@ class TestProtocolHygiene:
 
         specs = grid_18()[:2]
         cache = tmp_path / "cache"
-        ledger = tmp_path / "ledger.jsonl"
+        ledger = tmp_path / "ledger"
         with SweepLedger(ledger) as log:
             log.record_scheduled(specs)
             log.record_failed(specs[0].key(), "w0", "transient OOM")
@@ -507,7 +507,7 @@ class TestWorkerSideStore:
         driver = CoordinatorThread(
             specs,
             cache_dir=dist_dir,
-            ledger_path=tmp_path / "ledger.jsonl",
+            ledger_path=tmp_path / "ledger",
         )
         # Workers share the coordinator's store: every result goes
         # worker-side publish + slim RESULT-REF, no payload frames.
@@ -522,9 +522,9 @@ class TestWorkerSideStore:
                 dist_dir / name
             ).read_bytes()
         # "done" was ledgered only after validation.
-        from repro.distributed.ledger import SweepLedger
+        from repro.distributed.ledger import replay_ledger
 
-        state = SweepLedger.replay_path(tmp_path / "ledger.jsonl")
+        state = replay_ledger(tmp_path / "ledger")
         assert state.done == {spec.key() for spec in specs}
 
     def test_ref_to_a_store_the_coordinator_cannot_see_goes_terminal(
@@ -621,7 +621,7 @@ class TestSubmittedSweeps:
         that exists only as ledger records -- the resume-mid-submitted-
         sweep guarantee."""
         specs = grid_18()[:5]
-        ledger = tmp_path / "ledger.jsonl"
+        ledger = tmp_path / "ledger"
         self.submit_via_ledger(ledger, specs)
         driver = CoordinatorThread(
             [], cache_dir=tmp_path / "cache", ledger_path=ledger
@@ -634,7 +634,7 @@ class TestSubmittedSweeps:
 
     def test_killed_coordinator_resumes_a_submitted_sweep(self, tmp_path):
         specs = grid_18()[:6]
-        ledger = tmp_path / "ledger.jsonl"
+        ledger = tmp_path / "ledger"
         cache = tmp_path / "cache"
         self.submit_via_ledger(ledger, specs)
         first = CoordinatorThread([], cache_dir=cache, ledger_path=ledger)
@@ -681,7 +681,7 @@ class TestSubmittedSweeps:
         serial_dir = tmp_path / "serial"
         SweepRunner(cache_dir=serial_dir).sweep(specs)
 
-        ledger = tmp_path / "ledger.jsonl"
+        ledger = tmp_path / "ledger"
         cache = tmp_path / "cache"
         driver = CoordinatorThread(
             [],
@@ -753,7 +753,7 @@ class TestSubmittedSweeps:
         driver = CoordinatorThread(
             [],
             cache_dir=tmp_path / "cache",
-            ledger_path=tmp_path / "ledger.jsonl",
+            ledger_path=tmp_path / "ledger",
             watch=True,
         )
 
@@ -784,13 +784,13 @@ class TestCancellation:
         point stays "leased" after a cancel) and the worker's late
         RESULT frame is acked ``stored=False`` -- dropped, not an
         error, not a requeue."""
-        from repro.distributed.ledger import SweepLedger
+        from repro.distributed.ledger import SweepLedger, replay_ledger
         from repro.distributed.service import sweep_id
 
         specs = grid_18()[:4]
         keys = [spec.key() for spec in specs]
         sweep = sweep_id(keys)
-        ledger = tmp_path / "ledger.jsonl"
+        ledger = tmp_path / "ledger"
         with SweepLedger(ledger) as handle:
             handle.record_scheduled(specs)
             handle.record_submitted(sweep, keys, name="doomed")
@@ -848,6 +848,6 @@ class TestCancellation:
         assert summary["done"] == 0 and summary["pending"] == 0
         assert list((tmp_path / "cache").glob("*.json")) == []
         # Replay agrees: nothing pending, nothing published.
-        state = SweepLedger.replay_path(ledger)
+        state = replay_ledger(ledger)
         assert state.pending == set()
         assert sweep in state.cancelled

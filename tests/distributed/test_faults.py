@@ -10,7 +10,7 @@ Two layers:
   coordinator's first ledger append, kills the coordinator (hard
   ``os._exit``, no cleanup) mid-sweep after five accepted results, and
   makes one worker drop a RESULT frame -- and a 36-point 2-worker
-  sweep over a *sharded* ledger still converges byte-identical to a
+  sweep over a compacting ledger still converges byte-identical to a
   serial run with zero manual intervention beyond supervisor-style
   restarts of the dead coordinator process.
 """
@@ -290,11 +290,11 @@ class TestWiredSites:
             FaultPlan([FaultRule(site="ledger.append", action="torn")])
         )
         specs = load_scenario_document(SELF_HEAL_DOCUMENT).expand()[:2]
-        ledger = tmp_path / "ledger.jsonl"
+        ledger = tmp_path / "ledger"
         with SweepLedger(ledger) as handle:
             with pytest.raises(OSError, match="torn"):
                 handle.record_scheduled(specs)
-        data = ledger.read_bytes()
+        data = (ledger / "shards" / "_unassigned.jsonl").read_bytes()
         assert data and not data.endswith(b"\n")  # the torn artifact
         state = replay_ledger(ledger)
         assert state.scheduled == {}  # fragment skipped, nothing lied
@@ -437,7 +437,7 @@ class TestSelfHealingSchedule:
 
         spec_file = tmp_path / "grid.json"
         spec_file.write_text(json.dumps(SELF_HEAL_DOCUMENT))
-        ledger = tmp_path / "ledger"  # no suffix: the sharded layout
+        ledger = tmp_path / "ledger"
         cache = tmp_path / "cache"
         fired = tmp_path / "fired.jsonl"
 

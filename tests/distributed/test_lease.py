@@ -21,6 +21,7 @@ import time
 
 from repro.core.parameters import ModelParameters
 from repro.distributed.coordinator import SweepCoordinator
+from repro.distributed.ledger import iter_ledger_records
 from repro.distributed.protocol import read_frame, write_frame
 from repro.distributed.worker import worker_loop
 from repro.scenario.spec import ScenarioSpec, SweepSpec
@@ -141,7 +142,7 @@ class TestLeaseExpiry:
         self, tmp_path
     ):
         specs = small_grid(3)
-        ledger = tmp_path / "ledger.jsonl"
+        ledger = tmp_path / "ledger"
         driver = CoordinatorThread(
             specs,
             cache_dir=tmp_path / "cache",
@@ -162,7 +163,7 @@ class TestLeaseExpiry:
         # The expiry is in the durable audit trail, exactly once.
         requeues = [
             record
-            for record in _ledger_records(ledger)
+            for record in iter_ledger_records(ledger)
             if record.get("event") == "requeued"
         ]
         assert len(requeues) == 1
@@ -177,7 +178,7 @@ class TestLeaseExpiry:
         driver = CoordinatorThread(
             specs,
             cache_dir=tmp_path / "cache",
-            ledger_path=tmp_path / "ledger.jsonl",
+            ledger_path=tmp_path / "ledger",
             lease_timeout=LEASE,
         )
         # Heartbeat well past several lease periods...
@@ -200,7 +201,7 @@ class TestLeaseExpiry:
         reports keeps its lease the whole way: no requeue, its result
         is acked as stored."""
         specs = small_grid(1)
-        ledger = tmp_path / "ledger.jsonl"
+        ledger = tmp_path / "ledger"
         driver = CoordinatorThread(
             specs,
             cache_dir=tmp_path / "cache",
@@ -249,7 +250,7 @@ class TestLeaseExpiry:
         assert summary["workers"] == {"slow": 1}
         assert not [
             record
-            for record in _ledger_records(ledger)
+            for record in iter_ledger_records(ledger)
             if record.get("event") == "requeued"
         ]
 
@@ -260,7 +261,7 @@ class TestLeaseExpiry:
         driver = CoordinatorThread(
             specs,
             cache_dir=tmp_path / "cache",
-            ledger_path=tmp_path / "ledger.jsonl",
+            ledger_path=tmp_path / "ledger",
             lease_timeout=LEASE,
         )
 
@@ -317,13 +318,3 @@ class TestLeaseExpiry:
         assert summary["done"] == 2
         assert summary["lease_requeued"] == 0
         assert stats[0]["executed"] == 2
-
-
-def _ledger_records(path):
-    import json
-
-    return [
-        json.loads(line)
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]

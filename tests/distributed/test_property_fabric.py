@@ -12,8 +12,8 @@ interleavings, and both are pure enough to fuzz exhaustively:
   agreeing with an independent reference fold, with the queue
   invariants (done and failed disjoint, pending = scheduled minus
   terminal, claims only on live non-terminal keys) holding at every
-  draw -- and appending torn garbage to the file never changes the
-  fold.
+  draw -- wherever the records land across the ledger's shards --
+  and appending torn garbage to a shard never changes the fold.
 """
 
 import json
@@ -23,7 +23,7 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.ledger import LedgerState, SweepLedger
+from repro.distributed.ledger import LedgerState, SweepLedger, replay_ledger
 from repro.distributed.protocol import decode_frame, encode_frame
 
 # -- strategies --------------------------------------------------------------
@@ -58,7 +58,15 @@ messages = st.lists(
 )
 
 #: A handful of keys so interleavings actually collide on them.
-ledger_keys = st.sampled_from([f"{i:02d}" + "a" * 62 for i in range(4)])
+LEDGER_KEYS = [f"{i:02d}" + "a" * 62 for i in range(4)]
+ledger_keys = st.sampled_from(LEDGER_KEYS)
+#: Keys grouped into submitted sweeps, so their records spread over
+#: per-sweep shards; the last key belongs to no sweep (``_unassigned``).
+LEDGER_SWEEPS = {
+    "sweep-even": [LEDGER_KEYS[0], LEDGER_KEYS[2]],
+    "sweep-odd": [LEDGER_KEYS[1]],
+}
+LEDGER_SHARDS = [*LEDGER_SWEEPS, "_unassigned"]
 workers = st.sampled_from(["w0", "w1", "w2"])
 ledger_events = st.lists(
     st.one_of(
@@ -169,11 +177,12 @@ def reference_fold(events) -> LedgerState:
 
 def write_events(path: pathlib.Path, events) -> None:
     with SweepLedger(path) as ledger:
+        for sweep, keys in LEDGER_SWEEPS.items():
+            ledger.record_submitted(sweep, keys)
         for event in events:
             kind, key = event[0], event[1]
             if kind == "scheduled":
-                appender = ledger._appender
-                appender.append(
+                ledger._append(
                     {"event": "scheduled", "key": key, "spec": {"name": key}}
                 )
             elif kind == "claimed":
@@ -195,9 +204,9 @@ class TestLedgerReplayProperties:
     @given(events=ledger_events)
     def test_any_interleaving_replays_to_the_reference_fold(self, events):
         with tempfile.TemporaryDirectory() as tmp:
-            path = pathlib.Path(tmp) / "ledger.jsonl"
+            path = pathlib.Path(tmp) / "ledger"
             write_events(path, events)
-            state = SweepLedger.replay_path(path)
+            state = replay_ledger(path)
         expected = reference_fold(events)
         assert state.done == expected.done
         assert set(state.failed) == set(expected.failed)
@@ -219,21 +228,24 @@ class TestLedgerReplayProperties:
         junk=st.binary(max_size=40).filter(
             lambda b: b"\n" not in b and not _parses_as_json(b)
         ),
+        shard=st.sampled_from(LEDGER_SHARDS),
     )
-    def test_torn_tail_bytes_never_change_the_fold(self, events, junk):
+    def test_torn_tail_bytes_never_change_the_fold(
+        self, events, junk, shard
+    ):
         """A crash mid-append leaves arbitrary junk after the last
-        newline; replay of the damaged file equals replay of the
-        intact one.  (Junk that happens to parse as complete JSON is
+        newline of a shard; replay of the damaged ledger equals replay
+        of the intact one.  (Junk that happens to parse as complete JSON is
         excluded: it is indistinguishable from a real record whose
         newline was cut, and a real torn write -- the prefix of one
         ``O_APPEND`` line -- never parses.)"""
         with tempfile.TemporaryDirectory() as tmp:
-            path = pathlib.Path(tmp) / "ledger.jsonl"
+            path = pathlib.Path(tmp) / "ledger"
             write_events(path, events)
-            intact = SweepLedger.replay_path(path)
-            with open(path, "ab") as handle:
+            intact = replay_ledger(path)
+            with open(path / "shards" / f"{shard}.jsonl", "ab") as handle:
                 handle.write(junk)
-            damaged = SweepLedger.replay_path(path)
+            damaged = replay_ledger(path)
         assert damaged.done == intact.done
         assert damaged.failed == intact.failed
         assert damaged.claims == intact.claims
@@ -250,12 +262,12 @@ class TestLedgerReplayProperties:
         second time (a resumed coordinator racing a duplicate result),
         cannot un-finish anything."""
         with tempfile.TemporaryDirectory() as tmp:
-            path = pathlib.Path(tmp) / "ledger.jsonl"
+            path = pathlib.Path(tmp) / "ledger"
             write_events(path, events)
-            once = SweepLedger.replay_path(path)
+            once = replay_ledger(path)
             terminal = [e for e in events if e[0] in ("done", "failed")]
             write_events(path, terminal)
-            twice = SweepLedger.replay_path(path)
+            twice = replay_ledger(path)
         assert twice.done == once.done
         assert set(twice.failed) == set(once.failed)
         assert twice.pending == once.pending

@@ -8,7 +8,7 @@ import urllib.request
 import pytest
 
 from repro.core.parameters import ModelParameters
-from repro.distributed.ledger import SweepLedger
+from repro.distributed.ledger import SweepLedger, replay_ledger
 from repro.distributed.service import ResultsService
 from repro.scenario.runner import SweepRunner
 from repro.scenario.spec import ScenarioSpec, SweepSpec
@@ -31,7 +31,7 @@ def populated(tmp_path_factory):
         ),
     ).expand()
     SweepRunner(cache_dir=cache).sweep(specs)
-    ledger_path = root / "ledger.jsonl"
+    ledger_path = root / "ledger"
     with SweepLedger(ledger_path) as ledger:
         ledger.record_scheduled(specs)
         for spec in specs[:-1]:
@@ -215,8 +215,11 @@ class TestBadDiskState:
     def test_malformed_ledger_yields_500_not_a_dropped_connection(
         self, populated, tmp_path
     ):
-        bad_ledger = tmp_path / "bad.jsonl"
-        bad_ledger.write_text('{"event": "exploded", "key": "a"}\n')
+        bad_ledger = tmp_path / "bad"
+        (bad_ledger / "shards").mkdir(parents=True)
+        (bad_ledger / "shards" / "_unassigned.jsonl").write_text(
+            '{"event": "exploded", "key": "a"}\n'
+        )
         with ResultsService(
             populated["cache"], ledger_path=bad_ledger
         ).start() as service:
@@ -254,7 +257,7 @@ class TestSubmit:
 
     def fresh(self, tmp_path):
         return ResultsService(
-            tmp_path / "cache", ledger_path=tmp_path / "ledger.jsonl"
+            tmp_path / "cache", ledger_path=tmp_path / "ledger"
         ).start()
 
     def test_json_grid_expands_into_the_ledger(self, tmp_path):
@@ -270,7 +273,7 @@ class TestSubmit:
                 spec.key()
                 for spec in load_scenario_document(GRID_DOCUMENT).expand()
             }
-            state = SweepLedger.replay_path(tmp_path / "ledger.jsonl")
+            state = replay_ledger(tmp_path / "ledger")
             assert set(state.scheduled) == expected
             assert set(state.sweeps[reply["sweep"]]) == expected
             # The scheduled wire specs rebuild to the submitted grid.
@@ -312,7 +315,7 @@ class TestSubmit:
             _, second = post(service, "/submit", body)
             assert first["sweep"] == second["sweep"]
             assert second["new_points"] == 0
-            state = SweepLedger.replay_path(tmp_path / "ledger.jsonl")
+            state = replay_ledger(tmp_path / "ledger")
             assert len(state.scheduled) == 6  # no duplicate scheduling
 
     def test_single_scenario_submits_as_one_point(self, tmp_path):
@@ -342,7 +345,7 @@ class TestSubmit:
                 assert status == 400, (body, reply)
                 assert "error" in reply
             # Nothing leaked into the ledger.
-            state = SweepLedger.replay_path(tmp_path / "ledger.jsonl")
+            state = replay_ledger(tmp_path / "ledger")
             assert not state.scheduled and not state.sweeps
 
     def test_submit_without_ledger_is_503(self, tmp_path):
@@ -399,7 +402,7 @@ class TestOversizedSubmit:
 
         monkeypatch.setattr(service_module, "MAX_SUBMIT_BYTES", 64)
         with ResultsService(
-            tmp_path / "cache", ledger_path=tmp_path / "ledger.jsonl"
+            tmp_path / "cache", ledger_path=tmp_path / "ledger"
         ).start() as service:
             status, reply = post(service, "/submit", b"x" * 200)
             assert status == 413
@@ -441,7 +444,7 @@ class TestCancel:
 
     def submitted(self, tmp_path):
         service = ResultsService(
-            tmp_path / "cache", ledger_path=tmp_path / "ledger.jsonl"
+            tmp_path / "cache", ledger_path=tmp_path / "ledger"
         ).start()
         _, reply = post(
             service, "/submit", json.dumps(GRID_DOCUMENT).encode()
@@ -463,7 +466,7 @@ class TestCancel:
             )
             assert status == 200 and reply["already_cancelled"] is True
             # Durable: the record survives in the ledger itself.
-            state = SweepLedger.replay_path(tmp_path / "ledger.jsonl")
+            state = replay_ledger(tmp_path / "ledger")
             assert sweep in state.cancelled
             assert state.pending == set()
 
@@ -511,7 +514,7 @@ class TestAuthToken:
     def guarded(self, tmp_path):
         return ResultsService(
             tmp_path / "cache",
-            ledger_path=tmp_path / "ledger.jsonl",
+            ledger_path=tmp_path / "ledger",
             auth_token="sesame",
         ).start()
 
@@ -559,7 +562,7 @@ class TestBackpressure:
     ):
         with ResultsService(
             tmp_path / "cache",
-            ledger_path=tmp_path / "ledger.jsonl",
+            ledger_path=tmp_path / "ledger",
             max_backlog=4,
         ).start() as service:
             first = json.dumps(GRID_DOCUMENT).encode()
@@ -573,7 +576,7 @@ class TestBackpressure:
             assert int(headers["Retry-After"]) > 0
             assert reply["backlog"] == 6 and reply["max_backlog"] == 4
             # The refused sweep left no trace in the ledger.
-            state = SweepLedger.replay_path(tmp_path / "ledger.jsonl")
+            state = replay_ledger(tmp_path / "ledger")
             assert len(state.scheduled) == 6
             # /healthz shows the same pressure the 503 reported.
             health = json.loads(get(service, "/healthz")[2])
@@ -583,11 +586,9 @@ class TestBackpressure:
 
 class TestHealthzGauges:
     def test_sharded_ledger_gauges(self, tmp_path):
-        """On a sharded ledger /healthz exposes per-shard sizes, the
-        last-compaction stamp and the backlog depth."""
-        from repro.distributed.ledger import ShardedLedger
-
-        ledger = tmp_path / "ledger"  # directory: the sharded layout
+        """/healthz exposes per-shard sizes, the last-compaction stamp
+        and the backlog depth."""
+        ledger = tmp_path / "ledger"
         with ResultsService(
             tmp_path / "cache", ledger_path=ledger
         ).start() as service:
@@ -603,7 +604,7 @@ class TestHealthzGauges:
             (shard_name,) = health["shards"]
             assert health["shards"][shard_name] > 0
 
-            with ShardedLedger(ledger) as handle:
+            with SweepLedger(ledger) as handle:
                 handle.compact()
             health = json.loads(get(service, "/healthz")[2])
             assert health["shard_count"] == 0
@@ -619,7 +620,6 @@ class TestHealthzGauges:
         """``requeued`` in /healthz folds from the ledger (snapshot
         included), so it strictly increases across a requeue even
         after compaction erases the event record itself."""
-        from repro.distributed.ledger import ShardedLedger
         from repro.scenario.spec import load_scenario_document
 
         ledger = tmp_path / "ledger"
@@ -628,7 +628,7 @@ class TestHealthzGauges:
             tmp_path / "cache", ledger_path=ledger
         ).start() as service:
             post(service, "/submit", json.dumps(GRID_DOCUMENT).encode())
-            with ShardedLedger(ledger) as handle:
+            with SweepLedger(ledger) as handle:
                 key = specs[0].key()
                 handle.record_claimed(key, "w0")
                 handle.record_requeued(
@@ -718,7 +718,7 @@ class TestMetricsRoute:
     def test_metrics_is_auth_exempt(self, tmp_path):
         with ResultsService(
             tmp_path / "cache",
-            ledger_path=tmp_path / "ledger.jsonl",
+            ledger_path=tmp_path / "ledger",
             auth_token="sesame",
         ).start() as service:
             status, content_type, _ = get(service, "/metrics")

@@ -148,7 +148,7 @@ class TestFaultInjectedTimeline:
         telemetry = tmp_path / "telemetry"
         trace.configure(telemetry)
         cache = tmp_path / "cache"
-        ledger = tmp_path / "ledger.jsonl"
+        ledger = tmp_path / "ledger"
 
         # The first RESULT frame is torn mid-send: the coordinator sees
         # EOF mid-frame, requeues the claim as connection-lost, and the
@@ -282,7 +282,7 @@ class TestFaultInjectedTimeline:
         assert "showing 2 slowest" in out
 
     def test_unknown_and_ambiguous_sweeps_are_key_errors(self, tmp_path):
-        ledger = tmp_path / "ledger.jsonl"
+        ledger = tmp_path / "ledger"
         with ResultsService(
             tmp_path / "cache", ledger_path=ledger
         ).start() as service:
@@ -302,7 +302,7 @@ class TestFaultInjectedTimeline:
     ):
         """Spans off: durations from the spans are None, ledger-derived
         columns (status, retries, queue wait) survive."""
-        ledger = tmp_path / "ledger.jsonl"
+        ledger = tmp_path / "ledger"
         with ResultsService(
             tmp_path / "cache", ledger_path=ledger
         ).start() as service:
