@@ -11,7 +11,6 @@ from repro.analysis.experiments import (
     TABLE1_MU_GRID,
     TABLE2_D,
     TABLE2_MU_GRID,
-    ModelCache,
     base_parameters,
     mu_percent,
 )
@@ -54,7 +53,6 @@ from repro.analysis.table2 import (
 from repro.analysis.tables import format_value, render_comparison, render_table
 
 __all__ = [
-    "ModelCache",
     "base_parameters",
     "mu_percent",
     "MU_GRID",

@@ -17,7 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.adversary import resolve_adversary
-from repro.analysis.experiments import ModelCache, base_parameters
+from repro.analysis.experiments import (
+    analysis_runner,
+    analytic_spec,
+    base_parameters,
+)
 from repro.analysis.tables import render_table
 from repro.core.absorption import cluster_fate
 from repro.core.initial import delta_distribution
@@ -42,24 +46,22 @@ def compute_k_sweep(
     mu: float = 0.20,
     d: float = 0.90,
     initial: str = "delta",
-    cache: ModelCache | None = None,
 ) -> list[KSweepPoint]:
     """Evaluate the full k = 1..C randomization profile."""
-    cache = cache if cache is not None else ModelCache()
-    points = []
-    core_size = base_parameters().core_size
-    for k in range(1, core_size + 1):
-        model = cache.get(base_parameters(k=k, mu=mu, d=d))
-        fate = model.cluster_fate(initial)
-        points.append(
-            KSweepPoint(
-                k=k,
-                expected_safe=fate.expected_time_safe,
-                expected_polluted=fate.expected_time_polluted,
-                p_polluted_merge=fate.p_polluted_merge,
-            )
+    k_values = range(1, base_parameters().core_size + 1)
+    results = analysis_runner().sweep(
+        analytic_spec(f"ablation-k[k={k}]", "fate", initial, k=k, mu=mu, d=d)
+        for k in k_values
+    )
+    return [
+        KSweepPoint(
+            k=k,
+            expected_safe=result.metrics["E(T_S)"],
+            expected_polluted=result.metrics["E(T_P)"],
+            p_polluted_merge=result.metrics["p(polluted-merge)"],
         )
-    return points
+        for k, result in zip(k_values, results)
+    ]
 
 
 def render_k_sweep(points: list[KSweepPoint], mu: float, d: float) -> str:
@@ -101,22 +103,22 @@ def compute_nu_sweep(
     d: float = 0.90,
     nu_grid: tuple[float, ...] = (0.01, 0.05, 0.10, 0.20, 0.40),
     initial: str = "delta",
-    cache: ModelCache | None = None,
 ) -> list[NuSweepPoint]:
     """Evaluate Rule 1's threshold sensitivity (needs k > 1)."""
-    cache = cache if cache is not None else ModelCache()
-    points = []
-    for nu in nu_grid:
-        model = cache.get(base_parameters(k=k, mu=mu, d=d, nu=nu))
-        fate = model.cluster_fate(initial)
-        points.append(
-            NuSweepPoint(
-                nu=nu,
-                expected_polluted=fate.expected_time_polluted,
-                p_polluted_merge=fate.p_polluted_merge,
-            )
+    results = analysis_runner().sweep(
+        analytic_spec(
+            f"ablation-nu[nu={nu}]", "fate", initial, k=k, mu=mu, d=d, nu=nu
         )
-    return points
+        for nu in nu_grid
+    )
+    return [
+        NuSweepPoint(
+            nu=nu,
+            expected_polluted=result.metrics["E(T_P)"],
+            p_polluted_merge=result.metrics["p(polluted-merge)"],
+        )
+        for nu, result in zip(nu_grid, results)
+    ]
 
 
 def render_nu_sweep(points: list[NuSweepPoint], k: int, mu: float, d: float) -> str:

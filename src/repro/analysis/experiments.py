@@ -4,10 +4,10 @@ The paper's evaluation fixes ``C = 7``, ``Delta = 7`` and sweeps
 ``mu``, ``d``, ``k`` and the initial distribution; this module holds the
 exact grids so every table/figure module and benchmark agrees on them.
 
-Since the scenario subsystem landed, each table/figure module renders
-its grid as a list of :class:`~repro.scenario.spec.ScenarioSpec` points
-(built with :func:`analytic_spec` / :func:`scenario_spec`) and executes
-them through the shared :data:`analysis_runner` -- the same
+Each table/figure, ablation and sensitivity module renders its grid as
+a list of :class:`~repro.scenario.spec.ScenarioSpec` points (built with
+:func:`analytic_spec` / :func:`scenario_spec`) and executes them through
+the shared :data:`analysis_runner` -- the same
 :class:`~repro.scenario.runner.SweepRunner` machinery the CLI exposes
 for arbitrary spec files, run serially and uncached here so library
 calls stay side-effect free and byte-identical.
@@ -15,9 +15,6 @@ calls stay side-effect free and byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.core.cluster_model import ClusterModel
 from repro.core.parameters import ModelParameters
 from repro.scenario import ScenarioSpec, SweepRunner
 
@@ -60,23 +57,6 @@ def base_parameters(**overrides) -> ModelParameters:
     return ModelParameters(**defaults)
 
 
-@dataclass
-class ModelCache:
-    """Memoizes :class:`ClusterModel` instances across a sweep.
-
-    Building the chain is the dominant cost of a sweep point; metrics
-    evaluated at the same ``(C, Delta, k, mu, d, nu)`` reuse the chain.
-    """
-
-    _models: dict[ModelParameters, ClusterModel] = field(default_factory=dict)
-
-    def get(self, params: ModelParameters) -> ClusterModel:
-        """The cached model for ``params`` (building it on first use)."""
-        if params not in self._models:
-            self._models[params] = ClusterModel(params)
-        return self._models[params]
-
-
 def mu_percent(mu: float) -> int:
     """Grid label helper (``0.05 -> 5``)."""
     return round(100 * mu)
@@ -84,8 +64,8 @@ def mu_percent(mu: float) -> int:
 
 #: Serial, uncached runner shared by the analysis modules.  Swap in a
 #: parallel/cached :class:`~repro.scenario.runner.SweepRunner` via the
-#: ``runner=`` parameter of any ``compute_*`` function to fan a grid
-#: out over workers or reuse ``results/scenarios/`` artifacts.
+#: ``runner=`` parameter of a table/figure ``compute_*`` function to fan
+#: a grid out over workers or reuse ``results/scenarios/`` artifacts.
 _DEFAULT_RUNNER = SweepRunner()
 
 

@@ -19,7 +19,6 @@ from repro.analysis import figure4 as fig4
 from repro.analysis import figure5 as fig5
 from repro.analysis import table1 as tab1
 from repro.analysis import table2 as tab2
-from repro.analysis.experiments import ModelCache
 
 
 @dataclass(frozen=True)
@@ -40,9 +39,8 @@ def _code_block(text: str) -> str:
     return "```\n" + text + "\n```"
 
 
-def build_sections(cache: ModelCache | None = None) -> list[ReportSection]:
+def build_sections() -> list[ReportSection]:
     """Compute every experiment and wrap it as a report section."""
-    cache = cache if cache is not None else ModelCache()
     sections = []
 
     cells1 = tab1.compute_table1()
@@ -99,7 +97,7 @@ def build_sections(cache: ModelCache | None = None) -> list[ReportSection]:
         )
     )
 
-    k_points = ablations.compute_k_sweep(cache=cache)
+    k_points = ablations.compute_k_sweep()
     join_points = ablations.compute_join_policy_ablation()
     sections.append(
         ReportSection(
@@ -155,11 +153,9 @@ def render_report(sections: list[ReportSection]) -> str:
     return "\n".join(lines)
 
 
-def write_report(
-    path: pathlib.Path | str, cache: ModelCache | None = None
-) -> pathlib.Path:
+def write_report(path: pathlib.Path | str) -> pathlib.Path:
     """Build and persist the full report; returns its path."""
-    sections = build_sections(cache=cache)
+    sections = build_sections()
     target = pathlib.Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(render_report(sections))

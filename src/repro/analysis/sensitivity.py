@@ -13,20 +13,18 @@ tabulate: *which knob buys the most resilience per unit of change?*
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.analysis.experiments import ModelCache
+from repro.analysis.experiments import analysis_runner
 from repro.analysis.tables import render_table
-from repro.core.cluster_model import ClusterModel
 from repro.core.parameters import ModelParameters, ParameterError
+from repro.scenario import ScenarioSpec
 
-#: Metric extractors usable by the sensitivity machinery.
-METRICS: dict[str, Callable[[ClusterModel], float]] = {
-    "E(T_P)": lambda model: model.expected_time_polluted("delta"),
-    "E(T_S)": lambda model: model.expected_time_safe("delta"),
-    "p(polluted-merge)": lambda model: model.absorption_probabilities(
-        "delta"
-    )["polluted-merge"],
+#: Metrics usable by the sensitivity machinery, each mapped to the
+#: analytic metrics family that evaluates it (at ``alpha = delta``).
+METRICS: dict[str, str] = {
+    "E(T_P)": "times",
+    "E(T_S)": "times",
+    "p(polluted-merge)": "absorption",
 }
 
 
@@ -61,10 +59,37 @@ class SensitivityEntry:
         return derivative * midpoint / self.base_value
 
 
-def _evaluate(
-    params: ModelParameters, metric: str, cache: ModelCache
-) -> float:
-    return METRICS[metric](cache.get(params))
+def _probe(
+    knob: str,
+    metric: str,
+    points: tuple[ModelParameters, ModelParameters, ModelParameters],
+    low_setting: float,
+    high_setting: float,
+) -> SensitivityEntry:
+    """Evaluate ``metric`` at the (base, low, high) parameter points
+    through the analysis runner."""
+    specs = [
+        ScenarioSpec(
+            name=f"sensitivity[{knob}: {params.describe()}]",
+            params=params,
+            engine="analytic",
+            initial="delta",
+            options={"metrics": METRICS[metric]},
+        )
+        for params in points
+    ]
+    base_value, low_value, high_value = (
+        result.metrics[metric] for result in analysis_runner().sweep(specs)
+    )
+    return SensitivityEntry(
+        knob=knob,
+        metric=metric,
+        base_value=base_value,
+        low_value=low_value,
+        high_value=high_value,
+        low_setting=float(low_setting),
+        high_setting=float(high_setting),
+    )
 
 
 def continuous_sensitivity(
@@ -72,30 +97,20 @@ def continuous_sensitivity(
     knob: str,
     metric: str = "E(T_P)",
     step: float = 0.02,
-    cache: ModelCache | None = None,
 ) -> SensitivityEntry:
     """Central-difference sensitivity for ``mu`` or ``d``."""
     if knob not in ("mu", "d"):
         raise ParameterError(f"{knob!r} is not a continuous knob")
     if metric not in METRICS:
         raise ParameterError(f"unknown metric {metric!r}")
-    cache = cache if cache is not None else ModelCache()
     center = getattr(base, knob)
     low_setting = max(0.0, center - step)
     high_cap = 0.999 if knob == "d" else 1.0
     high_setting = min(high_cap, center + step)
-    return SensitivityEntry(
-        knob=knob,
-        metric=metric,
-        base_value=_evaluate(base, metric, cache),
-        low_value=_evaluate(
-            base.with_overrides(**{knob: low_setting}), metric, cache
-        ),
-        high_value=_evaluate(
-            base.with_overrides(**{knob: high_setting}), metric, cache
-        ),
-        low_setting=low_setting,
-        high_setting=high_setting,
+    low_params = base.with_overrides(**{knob: low_setting})
+    high_params = base.with_overrides(**{knob: high_setting})
+    return _probe(
+        knob, metric, (base, low_params, high_params), low_setting, high_setting
     )
 
 
@@ -103,14 +118,12 @@ def discrete_sensitivity(
     base: ModelParameters,
     knob: str,
     metric: str = "E(T_P)",
-    cache: ModelCache | None = None,
 ) -> SensitivityEntry:
     """One-step difference for ``core_size``, ``spare_max`` or ``k``."""
     if knob not in ("core_size", "spare_max", "k"):
         raise ParameterError(f"{knob!r} is not a discrete knob")
     if metric not in METRICS:
         raise ParameterError(f"unknown metric {metric!r}")
-    cache = cache if cache is not None else ModelCache()
     center = getattr(base, knob)
     low_setting = center - 1
     high_setting = center + 1
@@ -129,30 +142,21 @@ def discrete_sensitivity(
         low_setting = max(2, low_setting)
         low_params = base.with_overrides(spare_max=low_setting)
     high_params = base.with_overrides(**{knob: high_setting})
-    return SensitivityEntry(
-        knob=knob,
-        metric=metric,
-        base_value=_evaluate(base, metric, cache),
-        low_value=_evaluate(low_params, metric, cache),
-        high_value=_evaluate(high_params, metric, cache),
-        low_setting=float(low_setting),
-        high_setting=float(high_setting),
+    return _probe(
+        knob, metric, (base, low_params, high_params), low_setting, high_setting
     )
 
 
 def tornado(
-    base: ModelParameters,
-    metric: str = "E(T_P)",
-    cache: ModelCache | None = None,
+    base: ModelParameters, metric: str = "E(T_P)"
 ) -> list[SensitivityEntry]:
     """All knobs probed around ``base``, sorted by descending swing."""
-    cache = cache if cache is not None else ModelCache()
     entries = [
-        continuous_sensitivity(base, "mu", metric, cache=cache),
-        continuous_sensitivity(base, "d", metric, cache=cache),
-        discrete_sensitivity(base, "core_size", metric, cache=cache),
-        discrete_sensitivity(base, "spare_max", metric, cache=cache),
-        discrete_sensitivity(base, "k", metric, cache=cache),
+        continuous_sensitivity(base, "mu", metric),
+        continuous_sensitivity(base, "d", metric),
+        discrete_sensitivity(base, "core_size", metric),
+        discrete_sensitivity(base, "spare_max", metric),
+        discrete_sensitivity(base, "k", metric),
     ]
     return sorted(entries, key=lambda entry: entry.swing, reverse=True)
 

@@ -6,12 +6,17 @@ classical absorbing-chain machinery (fundamental matrix, absorption
 probabilities and times), the censored-chain reductions and sojourn-time
 decompositions of Sericola (1990) and Sericola & Rubino (1989), and the
 competing-chains transient law of Anceaume, Castella, Ludinard &
-Sericola (2011) used by the paper's Theorems 1 and 2.
+Sericola (2011) used by the paper's Theorems 1 and 2.  It needs numpy
+only.
 
 The public classes and functions are re-exported here:
 
 * :class:`~repro.markov.chain.MarkovChain` -- validated DTMC with state
   labels, classification helpers and simulation.
+* :func:`~repro.markov.classify.communicating_classes` /
+  :func:`~repro.markov.classify.recurrent_classes` /
+  :func:`~repro.markov.classify.transient_states` -- state
+  classification from the reachability closure of ``P > epsilon``.
 * :class:`~repro.markov.fundamental.AbsorbingAnalysis` -- fundamental
   matrix `(I - T)^{-1}`, absorption probabilities, expected steps.
 * :class:`~repro.markov.sojourn.TwoSubsetSojourn` -- total and per-visit

@@ -1,14 +1,12 @@
 """State classification for finite Markov chains.
 
-Builds the directed transition graph of a chain and classifies states
-into communicating classes, recurrent (closed) classes, transient states
-and absorbing singletons.  ``networkx`` supplies the strongly-connected
-component machinery.
+Classifies states into communicating classes, recurrent (closed)
+classes, transient states and absorbing singletons from the boolean
+reachability closure of the transition graph ``P > epsilon``.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.markov.linalg import as_square_array
@@ -17,41 +15,49 @@ from repro.markov.linalg import as_square_array
 EDGE_EPSILON = 1e-15
 
 
-def transition_graph(matrix: np.ndarray, epsilon: float = EDGE_EPSILON) -> nx.DiGraph:
-    """Directed graph with an edge ``i -> j`` whenever ``P[i, j] > epsilon``."""
-    arr = as_square_array(matrix)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(arr.shape[0]))
-    rows, cols = np.nonzero(arr > epsilon)
-    graph.add_edges_from(zip(rows.tolist(), cols.tolist()))
-    return graph
+def transition_graph(matrix: np.ndarray, epsilon: float = EDGE_EPSILON) -> np.ndarray:
+    """Boolean adjacency array: ``graph[i, j]`` when ``P[i, j] > epsilon``."""
+    return as_square_array(matrix) > epsilon
+
+
+def _reachability(graph: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of ``graph`` by repeated squaring."""
+    reach = graph | np.eye(graph.shape[0], dtype=bool)
+    while True:
+        weights = reach.astype(float)
+        closed = (weights @ weights) > 0.0
+        if np.array_equal(closed, reach):
+            return reach
+        reach = closed
+
+
+def _classes(reach: np.ndarray) -> list[frozenset[int]]:
+    """Communicating classes of a reachability closure, in order of
+    their smallest state."""
+    mutual = reach & reach.T
+    return list(
+        dict.fromkeys(frozenset(np.flatnonzero(row).tolist()) for row in mutual)
+    )
 
 
 def communicating_classes(
     matrix: np.ndarray, epsilon: float = EDGE_EPSILON
 ) -> list[frozenset[int]]:
     """Communicating classes (strongly connected components) of the chain."""
-    graph = transition_graph(matrix, epsilon)
-    return [frozenset(component) for component in nx.strongly_connected_components(graph)]
+    return _classes(_reachability(transition_graph(matrix, epsilon)))
 
 
 def recurrent_classes(
     matrix: np.ndarray, epsilon: float = EDGE_EPSILON
 ) -> list[frozenset[int]]:
-    """Closed communicating classes (no edge leaves the class)."""
-    arr = as_square_array(matrix)
-    graph = transition_graph(arr, epsilon)
-    closed = []
-    for component in nx.strongly_connected_components(graph):
-        members = set(component)
-        is_closed = all(
-            successor in members
-            for node in members
-            for successor in graph.successors(node)
-        )
-        if is_closed:
-            closed.append(frozenset(members))
-    return closed
+    """Closed communicating classes (no member reaches outside the class)."""
+    reach = _reachability(transition_graph(matrix, epsilon))
+    # Members of one class reach the same states, so one row decides.
+    return [
+        members
+        for members in _classes(reach)
+        if reach[min(members)].sum() == len(members)
+    ]
 
 
 def transient_states(
@@ -59,7 +65,7 @@ def transient_states(
 ) -> list[int]:
     """States not belonging to any recurrent class, in index order."""
     arr = as_square_array(matrix)
-    recurrent = set().union(*recurrent_classes(arr, epsilon)) if arr.shape[0] else set()
+    recurrent = set().union(*recurrent_classes(arr, epsilon))
     return [i for i in range(arr.shape[0]) if i not in recurrent]
 
 
@@ -71,18 +77,3 @@ def absorbing_states(
     return [
         i for i in range(arr.shape[0]) if abs(arr[i, i] - 1.0) <= atol
     ]
-
-
-def is_absorbing_chain(matrix: np.ndarray, epsilon: float = EDGE_EPSILON) -> bool:
-    """True when every state can reach some recurrent class.
-
-    For a finite chain this always holds, so the check reduces to: the
-    chain has at least one recurrent class (trivially true) and the
-    transition matrix is stochastic.  Kept as an explicit predicate to
-    document intent at call sites; returns ``False`` only for an empty
-    matrix.
-    """
-    arr = as_square_array(matrix)
-    if arr.shape[0] == 0:
-        return False
-    return len(recurrent_classes(arr, epsilon)) >= 1

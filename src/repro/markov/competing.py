@@ -15,10 +15,9 @@ events is ``alpha (T/n + (1-1/n) I)^m  1_B``.
 
 from __future__ import annotations
 
-from typing import Iterable
+import math
 
 import numpy as np
-from scipy.stats import binom
 
 from repro.markov.linalg import MarkovNumericsError, as_square_array
 
@@ -61,6 +60,22 @@ def competing_transient_law(
     return alpha @ np.linalg.matrix_power(lazy, n_events)
 
 
+def _binomial_weights(n_events: int, p: float) -> np.ndarray:
+    """``Binomial(n_events, p)`` pmf over ``0..n_events``, evaluated in
+    log space so no binomial coefficient overflows for large
+    ``n_events``."""
+    if p == 1.0:
+        weights = np.zeros(n_events + 1)
+        weights[-1] = 1.0
+        return weights
+    ell = np.arange(n_events + 1)
+    log_factorial = np.array([math.lgamma(i + 1) for i in ell])
+    log_choose = log_factorial[-1] - log_factorial - log_factorial[::-1]
+    return np.exp(
+        log_choose + ell * math.log(p) + (n_events - ell) * math.log1p(-p)
+    )
+
+
 def competing_law_binomial_mixture(
     initial: np.ndarray,
     transition: np.ndarray,
@@ -78,7 +93,7 @@ def competing_law_binomial_mixture(
     """
     alpha = np.asarray(initial, dtype=float)
     arr = as_square_array(transition)
-    weights = binom.pmf(np.arange(n_events + 1), n_events, 1.0 / n_chains)
+    weights = _binomial_weights(n_events, 1.0 / n_chains)
     # Truncate the summation where the binomial mass becomes negligible.
     significant = np.nonzero(weights > tail_tol)[0]
     upper = int(significant[-1]) if significant.size else 0
@@ -149,11 +164,3 @@ def expected_transitions_per_chain(n_chains: int, n_events: int) -> float:
     if n_chains < 1:
         raise MarkovNumericsError(f"n_chains must be >= 1, got {n_chains}")
     return n_events / n_chains
-
-
-def series_max(series: Iterable[float]) -> float:
-    """Maximum of a recorded series (helper for 'peak pollution' checks)."""
-    values = list(series)
-    if not values:
-        raise MarkovNumericsError("empty series")
-    return float(max(values))

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -36,11 +35,14 @@ def mean_confidence_interval(
         raise ValueError("need a 1-D sample of size >= 2")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
+    # Imported here so importing the package never loads scipy.
+    from scipy.special import stdtrit
+
     mean = float(values.mean())
-    sem = float(stats.sem(values))
+    sem = float(values.std(ddof=1) / np.sqrt(values.size))
     if sem == 0.0:
         return ConfidenceInterval(mean=mean, low=mean, high=mean, level=level)
-    half = sem * float(stats.t.ppf((1.0 + level) / 2.0, values.size - 1))
+    half = sem * float(stdtrit(values.size - 1, (1.0 + level) / 2.0))
     return ConfidenceInterval(
         mean=mean, low=mean - half, high=mean + half, level=level
     )

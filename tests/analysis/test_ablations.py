@@ -3,21 +3,25 @@
 import pytest
 
 from repro.analysis import ablations
-from repro.analysis.experiments import ModelCache
-
-
-@pytest.fixture(scope="module")
-def cache():
-    return ModelCache()
+from repro.analysis.experiments import base_parameters
+from repro.core.cluster_model import ClusterModel
 
 
 class TestKSweep:
     @pytest.fixture(scope="class")
-    def points(self, cache):
-        return ablations.compute_k_sweep(mu=0.20, d=0.90, cache=cache)
+    def points(self):
+        return ablations.compute_k_sweep(mu=0.20, d=0.90)
 
     def test_full_range(self, points):
         assert [p.k for p in points] == [1, 2, 3, 4, 5, 6, 7]
+
+    def test_matches_closed_form(self, points):
+        for point in points:
+            model = ClusterModel(base_parameters(k=point.k, mu=0.20, d=0.90))
+            fate = model.cluster_fate("delta")
+            assert point.expected_safe == fate.expected_time_safe
+            assert point.expected_polluted == fate.expected_time_polluted
+            assert point.p_polluted_merge == fate.p_polluted_merge
 
     def test_lesson_k1_dominates(self, points):
         assert ablations.k1_dominates(points)
@@ -37,9 +41,9 @@ class TestKSweep:
 
 class TestNuSweep:
     @pytest.fixture(scope="class")
-    def points(self, cache):
+    def points(self):
         return ablations.compute_nu_sweep(
-            k=7, mu=0.20, d=0.90, nu_grid=(0.05, 0.20, 0.40), cache=cache
+            k=7, mu=0.20, d=0.90, nu_grid=(0.05, 0.20, 0.40)
         )
 
     def test_values_finite_and_positive(self, points):

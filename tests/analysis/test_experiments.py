@@ -1,9 +1,8 @@
-"""Unit tests for the experiment grids and the model cache."""
+"""Unit tests for the experiment grids."""
 
 from repro.analysis.experiments import (
     D_GRID,
     MU_GRID,
-    ModelCache,
     base_parameters,
     mu_percent,
 )
@@ -25,18 +24,3 @@ class TestGrids:
         params = base_parameters(mu=0.2, k=7)
         assert params.mu == 0.2
         assert params.k == 7
-
-
-class TestModelCache:
-    def test_reuses_models(self):
-        cache = ModelCache()
-        first = cache.get(base_parameters(mu=0.1))
-        second = cache.get(base_parameters(mu=0.1))
-        assert first is second
-
-    def test_distinguishes_parameters(self):
-        cache = ModelCache()
-        assert cache.get(base_parameters(mu=0.1)) is not cache.get(
-            base_parameters(mu=0.2)
-        )
-

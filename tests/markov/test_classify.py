@@ -5,7 +5,6 @@ import numpy as np
 from repro.markov.classify import (
     absorbing_states,
     communicating_classes,
-    is_absorbing_chain,
     recurrent_classes,
     transient_states,
     transition_graph,
@@ -34,13 +33,13 @@ PAIR = np.array(
 class TestTransitionGraph:
     def test_edges_follow_positive_entries(self):
         graph = transition_graph(CHAIN)
-        assert graph.has_edge(0, 2)
-        assert not graph.has_edge(2, 0)
+        assert graph[0, 2]
+        assert not graph[2, 0]
 
     def test_epsilon_filters_noise(self):
         noisy = np.array([[1.0 - 1e-20, 1e-20], [0.0, 1.0]])
         graph = transition_graph(noisy)
-        assert not graph.has_edge(0, 1)
+        assert not graph[0, 1]
 
 
 class TestClassification:
@@ -69,8 +68,3 @@ class TestClassification:
         ring = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert transient_states(ring) == []
         assert recurrent_classes(ring) == [frozenset({0, 1})]
-
-    def test_is_absorbing_chain(self):
-        assert is_absorbing_chain(CHAIN)
-        assert is_absorbing_chain(PAIR)
-        assert not is_absorbing_chain(np.zeros((0, 0)))

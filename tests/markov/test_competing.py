@@ -20,6 +20,15 @@ TRANSIENT = np.array(
 )
 ALPHA = np.array([1.0, 0.0])
 
+# Stochastic and slow to mix, so the law is far from both the initial
+# vector and the stationary one after thousands of events.
+SLOW_MIXING = np.array(
+    [
+        [0.999, 0.001],
+        [0.0005, 0.9995],
+    ]
+)
+
 
 class TestSlowdownMatrix:
     def test_n_equals_one_is_identity_transform(self):
@@ -37,13 +46,14 @@ class TestSlowdownMatrix:
 
 class TestTheoremEquivalence:
     def test_matrix_power_matches_binomial_mixture(self):
-        for n_chains in (2, 7):
-            for m in (0, 1, 5, 40):
-                direct = competing_transient_law(ALPHA, TRANSIENT, n_chains, m)
-                mixture = competing_law_binomial_mixture(
-                    ALPHA, TRANSIENT, n_chains, m
-                )
-                assert np.allclose(direct, mixture, atol=1e-9)
+        for matrix in (TRANSIENT, SLOW_MIXING):
+            for n_chains in (1, 2, 7):
+                for m in (0, 1, 5, 40, 2000):
+                    direct = competing_transient_law(ALPHA, matrix, n_chains, m)
+                    mixture = competing_law_binomial_mixture(
+                        ALPHA, matrix, n_chains, m
+                    )
+                    assert np.allclose(direct, mixture, atol=1e-9)
 
     def test_single_chain_reduces_to_plain_power(self):
         law = competing_transient_law(ALPHA, TRANSIENT, 1, 3)

@@ -5,6 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.markov.classify import (
+    EDGE_EPSILON,
+    communicating_classes,
+    recurrent_classes,
+    transient_states,
+)
 from repro.markov.competing import (
     competing_law_binomial_mixture,
     competing_transient_law,
@@ -12,6 +18,7 @@ from repro.markov.competing import (
 )
 from repro.markov.fundamental import AbsorbingAnalysis
 from repro.markov.linalg import solve_fundamental, substochastic_check
+from repro.markov.reachability import reachable_indices
 
 
 def substochastic_matrices(size: int, leak: float = 0.05):
@@ -84,3 +91,53 @@ def test_more_chains_slow_the_decay(matrix, n_events):
     few = competing_transient_law(alpha, matrix, 2, n_events).sum()
     many = competing_transient_law(alpha, matrix, 20, n_events).sum()
     assert many >= few - 1e-9
+
+
+@st.composite
+def sparse_chains_with_open_class(draw):
+    """Sparse sub-stochastic matrices whose states 0 and 1 communicate
+    but leak into an absorbing last state: a multi-state class that is
+    not closed, next to whatever structure the random entries add."""
+    size = draw(st.integers(3, 8))
+    raw = draw(
+        arrays(dtype=float, shape=(size, size), elements=st.floats(0.0, 1.0))
+    )
+    sparse = np.where(raw > draw(st.floats(0.3, 1.0)), raw, 0.0)
+    sparse[0, 1] = sparse[1, 0] = sparse[1, -1] = 1.0
+    sparse[-1] = 0.0
+    sparse[-1, -1] = 1.0
+    return _normalize(sparse, draw(st.floats(0.0, 0.5)))
+
+
+def _reference_classes(matrix):
+    """Communicating and closed classes from per-state reachability."""
+    reach = [
+        set(reachable_indices(matrix, np.array([state]), EDGE_EPSILON).tolist())
+        for state in range(matrix.shape[0])
+    ]
+    classes = {
+        frozenset(other for other in reach[state] if state in reach[other])
+        for state in range(matrix.shape[0])
+    }
+    closed = {
+        members
+        for members in classes
+        if all(reach[state] <= members for state in members)
+    }
+    return classes, closed
+
+
+@settings(deadline=None, max_examples=100)
+@given(matrix=sparse_chains_with_open_class())
+def test_classification_matches_reachability_reference(matrix):
+    classes, closed = _reference_classes(matrix)
+    open_class = next(members for members in classes if 0 in members)
+    assert len(open_class) >= 2 and open_class not in closed
+
+    found = communicating_classes(matrix)
+    assert len(found) == len(set(found))
+    assert set(found) == classes
+    assert set(recurrent_classes(matrix)) == closed
+    assert transient_states(matrix) == sorted(
+        set(range(matrix.shape[0])).difference(*closed)
+    )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.simulation.metrics import (
     SeriesAccumulator,
@@ -33,6 +34,19 @@ class TestConfidenceIntervals:
             interval.mean - interval.low
         )
         assert interval.half_width > 0
+
+    def test_matches_scipy_stats_reference(self):
+        rng = np.random.default_rng(7)
+        for size in (2, 5, 40):
+            sample = rng.normal(3.0, 1.5, size=size)
+            for level in (0.5, 0.9, 0.95, 0.99):
+                interval = mean_confidence_interval(sample, level)
+                half = stats.sem(sample) * stats.t.ppf(
+                    (1.0 + level) / 2.0, size - 1
+                )
+                assert interval.high - interval.mean == pytest.approx(
+                    half, rel=1e-12
+                )
 
     def test_constant_sample_collapses(self):
         interval = mean_confidence_interval(np.array([4.0, 4.0, 4.0]))
