@@ -47,7 +47,8 @@ def competing_transient_law(
 
     Direct evaluation of Theorem 2 via binary matrix exponentiation;
     suitable for a single time point.  For whole trajectories prefer
-    :func:`competing_subset_series`, which reuses work across steps.
+    :func:`competing_subset_series`, which builds ``A_n^record_every``
+    once and takes one stride per recorded point.
     """
     alpha = np.asarray(initial, dtype=float)
     lazy = slowdown_matrix(transition, n_chains)
@@ -118,43 +119,56 @@ def competing_subset_series(
 ) -> dict[str, np.ndarray]:
     """Expected per-chain subset occupancy along a whole trajectory.
 
-    Iterates ``alpha_{m+1} = alpha_m A_n`` and records, every
-    ``record_every`` events, ``alpha_m @ 1_B`` for each named indicator
-    vector.  Returns one series per indicator plus the recorded event
-    indices under the key ``"events"``.
+    Records ``alpha_m @ 1_B`` for each named indicator vector at every
+    multiple of ``record_every`` and at ``n_events``.  Between records
+    the law takes one stride ``alpha <- alpha A_n^record_every`` (the
+    stride matrix is built once, plus one shorter power for a final
+    partial stride), so the cost grows with the number of recorded
+    points rather than with ``n_events``.  Returns one series per
+    indicator plus the recorded event indices under the key
+    ``"events"``.
     """
-    alpha = np.asarray(initial, dtype=float).copy()
+    alpha = np.asarray(initial, dtype=float)
     lazy = slowdown_matrix(transition, n_chains)
     if alpha.shape != (lazy.shape[0],):
         raise MarkovNumericsError(
             f"initial vector has shape {alpha.shape}, expected ({lazy.shape[0]},)"
         )
+    if n_events < 0:
+        raise MarkovNumericsError(f"n_events must be >= 0, got {n_events}")
     if record_every < 1:
         raise MarkovNumericsError(
             f"record_every must be >= 1, got {record_every}"
         )
-    flags = {
-        name: np.asarray(vector, dtype=float)
-        for name, vector in indicators.items()
-    }
-    for name, vector in flags.items():
+    names = list(indicators)
+    # One row per indicator, so each recorded point projects the law
+    # onto every subset with a single product.
+    flags = np.zeros((len(names), alpha.size))
+    for row, name in enumerate(names):
+        vector = np.asarray(indicators[name], dtype=float)
         if vector.shape != alpha.shape:
             raise MarkovNumericsError(
                 f"indicator {name!r} has shape {vector.shape}, "
                 f"expected {alpha.shape}"
             )
-    recorded_events = [0]
-    series: dict[str, list[float]] = {name: [float(alpha @ v)] for name, v in flags.items()}
-    for event in range(1, n_events + 1):
-        alpha = alpha @ lazy
-        if event % record_every == 0 or event == n_events:
-            recorded_events.append(event)
-            for name, vector in flags.items():
-                series[name].append(float(alpha @ vector))
-    result: dict[str, np.ndarray] = {
-        name: np.asarray(values) for name, values in series.items()
-    }
-    result["events"] = np.asarray(recorded_events)
+        flags[row] = vector
+    full, rest = divmod(n_events, record_every)
+    events = list(range(0, n_events + 1, record_every))
+    if rest:
+        events.append(n_events)
+    # Projected at each record rather than stacked: a dense series keeps
+    # one law in memory, not one per recorded point.
+    occupancy = np.empty((len(names), len(events)))
+    occupancy[:, 0] = flags @ alpha
+    stride = np.linalg.matrix_power(lazy, record_every)
+    for point in range(1, full + 1):
+        alpha = alpha @ stride
+        occupancy[:, point] = flags @ alpha
+    if rest:
+        alpha = alpha @ np.linalg.matrix_power(lazy, rest)
+        occupancy[:, -1] = flags @ alpha
+    result = dict(zip(names, occupancy))
+    result["events"] = np.asarray(events)
     return result
 
 

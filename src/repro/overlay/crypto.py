@@ -121,10 +121,18 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """RSA key pair; the private exponent never leaves this object."""
+    """RSA key pair; the private key never leaves this object.
+
+    The private key is held in CRT form: the factors ``p`` and ``q``,
+    the exponents ``d mod (p-1)`` and ``d mod (q-1)`` and ``q^-1 mod p``.
+    """
 
     public: PublicKey
-    _private_exponent: int
+    _p: int
+    _q: int
+    _d_p: int
+    _d_q: int
+    _q_inv: int
 
     @classmethod
     def generate(
@@ -142,12 +150,26 @@ class KeyPair:
             if phi % PUBLIC_EXPONENT == 0:
                 continue
             d = pow(PUBLIC_EXPONENT, -1, phi)
-            return cls(PublicKey(n, PUBLIC_EXPONENT), d)
+            return cls(
+                PublicKey(n, PUBLIC_EXPONENT),
+                p,
+                q,
+                d % (p - 1),
+                d % (q - 1),
+                pow(q, -1, p),
+            )
 
     def sign(self, message: bytes) -> int:
-        """Textbook RSA signature over the SHA-256 digest."""
+        """Textbook RSA signature over the SHA-256 digest.
+
+        Computed by CRT with Garner's recombination, which yields the
+        same integer as ``pow(digest, d, n)`` with half-size exponents
+        and moduli.
+        """
         digest = _message_digest(message) % self.public.modulus
-        return pow(digest, self._private_exponent, self.public.modulus)
+        m_p = pow(digest, self._d_p, self._p)
+        m_q = pow(digest, self._d_q, self._q)
+        return m_q + self._q * ((self._q_inv * (m_p - m_q)) % self._p)
 
 
 @dataclass(frozen=True)

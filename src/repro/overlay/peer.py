@@ -107,9 +107,8 @@ class PeerFactory:
     """Mints peers with CA-issued certificates and seeded key material.
 
     Key generation dominates simulation start-up, so the factory
-    supports ``key_bits`` down-tuning and a ``lightweight`` mode used by
-    the large-scale simulations (certificates are still issued and
-    verified; only the RSA modulus shrinks).
+    supports ``key_bits`` down-tuning (certificates are still issued
+    and verified; only the peers' RSA modulus shrinks).
     """
 
     def __init__(

@@ -81,3 +81,36 @@ class TestAdversaryComparison:
     def test_render(self, results):
         text = ablations.render_adversary_comparison(results)
         assert "greedy-leave" in text
+
+
+#: Adversary-comparison renders of the agent tier (peers, CA-signed
+#: certificates, identifier derivation, adversary moves) for a fixed
+#: seed.  Any change to key generation, signing or RNG consumption
+#: shows up here as a changed trajectory.
+PINNED_ADVERSARY_RENDERS = {
+    0.20: (
+        "Ablation: adversary strategies on the agent-based overlay\n"
+        "adversary           peak polluted  final polluted  joins discarded  leaves suppressed\n"
+        "------------------  -------------  --------------  ---------------  -----------------\n"
+        "strong (Rules 1+2)         0.0000          0.0000                0                  2\n"
+        "           passive         0.0000          0.0000                0                  0\n"
+        "      greedy-leave         0.0000          0.0000                0                  1"
+    ),
+    0.30: (
+        "Ablation: adversary strategies on the agent-based overlay\n"
+        "adversary           peak polluted  final polluted  joins discarded  leaves suppressed\n"
+        "------------------  -------------  --------------  ---------------  -----------------\n"
+        "strong (Rules 1+2)         0.1429          0.1429                0                  4\n"
+        "           passive         0.2000          0.1667                0                  0\n"
+        "      greedy-leave         0.0000          0.0000                0                  6"
+    ),
+}
+
+
+@pytest.mark.parametrize("mu", sorted(PINNED_ADVERSARY_RENDERS))
+def test_agent_tier_render_is_pinned(mu):
+    results = ablations.compare_adversaries(mu=mu, n_peers=60, duration=40.0)
+    assert (
+        ablations.render_adversary_comparison(results)
+        == PINNED_ADVERSARY_RENDERS[mu]
+    )

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import FIGURE5_MU, base_parameters
+from repro.core.initial import delta_distribution
+from repro.core.matrix import ClusterChain
 from repro.markov.competing import (
     competing_law_binomial_mixture,
     competing_subset_series,
@@ -28,6 +31,34 @@ SLOW_MIXING = np.array(
         [0.0005, 0.9995],
     ]
 )
+
+
+def per_event_series(initial, transition, n_chains, n_events, indicators,
+                     record_every):
+    """Reference: step ``alpha <- alpha A_n`` once per event and record
+    ``alpha @ 1_B`` at every multiple of ``record_every`` and at the end."""
+    lazy = slowdown_matrix(transition, n_chains)
+    alpha = np.asarray(initial, dtype=float)
+    events = [0]
+    laws = [alpha]
+    for event in range(1, n_events + 1):
+        alpha = alpha @ lazy
+        if event % record_every == 0 or event == n_events:
+            events.append(event)
+            laws.append(alpha)
+    series = {
+        name: np.array([law @ vector for law in laws])
+        for name, vector in indicators.items()
+    }
+    series["events"] = np.array(events)
+    return series
+
+
+def assert_series_match(actual, expected):
+    assert actual.keys() == expected.keys()
+    assert list(actual["events"]) == list(expected["events"])
+    for name in expected:
+        np.testing.assert_allclose(actual[name], expected[name], rtol=0, atol=1e-12)
 
 
 class TestSlowdownMatrix:
@@ -100,6 +131,62 @@ class TestSeries:
             ALPHA, TRANSIENT, 3, 103, indicator, record_every=25
         )
         assert series["events"][-1] == 103
+
+    @pytest.mark.parametrize(
+        "n_events, record_every",
+        [
+            (60, 1),  # today's per-event recursion
+            (103, 25),  # stride does not divide n_events
+            (7, 25),  # stride longer than the whole series
+            (0, 1),
+            (0, 25),
+        ],
+    )
+    def test_strided_series_matches_per_event_recursion(
+        self, n_events, record_every
+    ):
+        indicators = {"first": np.array([1.0, 0.0]), "all": np.ones(2)}
+        for matrix in (TRANSIENT, SLOW_MIXING):
+            for n_chains in (1, 3):
+                assert_series_match(
+                    competing_subset_series(
+                        ALPHA, matrix, n_chains, n_events, indicators,
+                        record_every=record_every,
+                    ),
+                    per_event_series(
+                        ALPHA, matrix, n_chains, n_events, indicators,
+                        record_every,
+                    ),
+                )
+
+    def test_figure5_chain_matches_per_event_recursion(self):
+        chain = ClusterChain(base_parameters(k=1, mu=FIGURE5_MU, d=0.9))
+        assert chain.transient_matrix.shape == (216, 216)
+        indicators = {
+            "safe": chain.safe_indicator(),
+            "polluted": chain.polluted_indicator(),
+        }
+        initial = delta_distribution(chain)
+        assert_series_match(
+            competing_subset_series(
+                initial, chain.transient_matrix, 500, 2_000, indicators,
+                record_every=500,
+            ),
+            per_event_series(
+                initial, chain.transient_matrix, 500, 2_000, indicators, 500
+            ),
+        )
+
+    def test_no_indicators_records_events_only(self):
+        series = competing_subset_series(
+            ALPHA, TRANSIENT, 3, 10, {}, record_every=4
+        )
+        assert list(series) == ["events"]
+        assert list(series["events"]) == [0, 4, 8, 10]
+
+    def test_negative_events_rejected(self):
+        with pytest.raises(MarkovNumericsError, match="n_events"):
+            competing_subset_series(ALPHA, TRANSIENT, 3, -1, {"all": np.ones(2)})
 
     def test_indicator_shape_validated(self):
         with pytest.raises(MarkovNumericsError, match="indicator"):

@@ -1,5 +1,7 @@
 """Unit tests for the simulation-grade RSA and certification authority."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,23 @@ class TestSignatures:
 
     def test_out_of_range_signature_rejected(self, keys):
         assert not keys.public.verify(b"hello", keys.public.modulus + 1)
+
+
+class TestCrtSigning:
+    @pytest.mark.parametrize("bits", [32, 64, 128, 512])
+    def test_crt_signature_equals_textbook_pow(self, bits):
+        keys = KeyPair.generate(np.random.default_rng(bits), bits)
+        n = keys.public.modulus
+        assert keys._p * keys._q == n
+        d = pow(keys.public.exponent, -1, (keys._p - 1) * (keys._q - 1))
+        for i in range(64):
+            message = f"message-{i}".encode() * (i % 5)
+            digest = int.from_bytes(hashlib.sha256(message).digest(), "big")
+            assert keys.sign(message) == pow(digest % n, d, n)
+
+    def test_key_generation_rng_consumption_is_pinned(self):
+        keys = KeyPair.generate(np.random.default_rng(0), 64)
+        assert keys.public.modulus == 10974889655266249171
 
 
 class TestCertificates:

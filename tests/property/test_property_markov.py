@@ -13,6 +13,7 @@ from repro.markov.classify import (
 )
 from repro.markov.competing import (
     competing_law_binomial_mixture,
+    competing_subset_series,
     competing_transient_law,
     slowdown_matrix,
 )
@@ -71,6 +72,35 @@ def test_theorem1_equivalence_randomized(matrix, n_chains, n_events):
     power = competing_transient_law(alpha, matrix, n_chains, n_events)
     mixture = competing_law_binomial_mixture(alpha, matrix, n_chains, n_events)
     assert np.allclose(power, mixture, atol=1e-8)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    matrix=substochastic_matrices(3),
+    n_chains=st.integers(1, 40),
+    n_events=st.integers(0, 80),
+    record_every=st.integers(1, 100),
+)
+def test_strided_series_matches_per_event_recursion(
+    matrix, n_chains, n_events, record_every
+):
+    """Striding by ``A_n^record_every`` records what stepping once per
+    event records, at every recorded point."""
+    alpha = np.array([0.5, 0.3, 0.2])
+    indicator = np.array([1.0, 0.0, 1.0])
+    series = competing_subset_series(
+        alpha, matrix, n_chains, n_events, {"b": indicator}, record_every
+    )
+    lazy = slowdown_matrix(matrix, n_chains)
+    law = alpha
+    expected_events, expected = [0], [law @ indicator]
+    for event in range(1, n_events + 1):
+        law = law @ lazy
+        if event % record_every == 0 or event == n_events:
+            expected_events.append(event)
+            expected.append(law @ indicator)
+    assert list(series["events"]) == expected_events
+    np.testing.assert_allclose(series["b"], expected, rtol=0, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=50)
