@@ -25,9 +25,10 @@ from repro.analysis.experiments import (
 from repro.analysis.tables import render_table
 from repro.core.absorption import cluster_fate
 from repro.core.initial import delta_distribution
+from repro.core.matrix import ClusterChain
 from repro.core.parameters import ModelParameters
 from repro.core.pollution_dynamics import pollution_onset
-from repro.core.variants import JoinPolicy, build_variant_chain
+from repro.core.transitions import JoinPolicy
 from repro.overlay.overlay import OverlayConfig
 from repro.simulation.overlay_sim import AgentOverlaySimulation
 
@@ -148,12 +149,13 @@ def compute_join_policy_ablation(
     d: float = 0.90,
 ) -> list[JoinPolicyPoint]:
     """Compare the paper's spare-first join against a naive
-    direct-core placement (see ``repro.core.variants``)."""
+    direct-core placement
+    (see :class:`~repro.core.transitions.JoinPolicy`)."""
     points = []
     for mu in mu_grid:
         params = base_parameters(k=1, mu=mu, d=d)
         for policy in JoinPolicy:
-            chain = build_variant_chain(params, policy)
+            chain = ClusterChain(params, join=policy)
             initial = delta_distribution(chain)
             fate = cluster_fate(chain, initial)
             onset = pollution_onset(chain, initial, horizon=100)

@@ -65,17 +65,10 @@ from repro.core.policies import (
 )
 from repro.core.statespace import Category, State, StateSpace, make_state
 from repro.core.transitions import (
+    JoinPolicy,
     TransitionRows,
-    clear_transition_caches,
-    policy_transition_distribution,
     transition_distribution,
     transition_rows,
-)
-from repro.core.variants import (
-    JoinPolicy,
-    build_policy_chain,
-    build_variant_chain,
-    variant_transition_distribution,
 )
 
 __all__ = [
@@ -93,17 +86,14 @@ __all__ = [
     "ClusterFate",
     "SojournProfile",
     "transition_distribution",
-    "policy_transition_distribution",
     "CountAdversaryPolicy",
     "COUNT_POLICIES",
     "STRONG_POLICY",
     "PASSIVE_POLICY",
     "GREEDY_LEAVE_POLICY",
     "resolve_count_policy",
-    "build_policy_chain",
     "transition_rows",
     "TransitionRows",
-    "clear_transition_caches",
     "relation2_probability",
     "rule1_triggers",
     "rule2_discards_join",
@@ -128,6 +118,4 @@ __all__ = [
     "safe_time_survival",
     "quantile_from_survival",
     "JoinPolicy",
-    "build_variant_chain",
-    "variant_transition_distribution",
 ]

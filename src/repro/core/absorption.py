@@ -21,8 +21,9 @@ from repro.markov.fundamental import AbsorbingAnalysis
 from repro.markov.sojourn import TwoSubsetSojourn
 
 #: Closed-class display names used across tables and benchmarks.
-#: The polluted-split class only exists for protocol variants that
-#: bypass Rule 2 (see ``repro.core.variants``).
+#: The polluted-split class only exists for laws that bypass Rule 2's
+#: split prevention
+#: (see :func:`~repro.core.transitions.reaches_polluted_split`).
 ABSORPTION_NAMES = {
     Category.SAFE_MERGE: "safe-merge",
     Category.SAFE_SPLIT: "safe-split",

@@ -13,7 +13,8 @@ paper's partition::
 
 Closed classes are modeled as identity rows: once a cluster has merged
 or split it logically disappears from the graph, which the chain
-represents by staying in its closed state forever.
+represents by staying in its closed state forever.  Laws without Rule
+2's split prevention append the polluted-split class ``A_P^l`` last.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.parameters import ModelParameters
+from repro.core.policies import CountAdversaryPolicy
 from repro.core.statespace import Category, State, StateSpace
-from repro.core.transitions import transition_distribution, transition_rows
+from repro.core.transitions import JoinPolicy, transition_rows
 from repro.markov.chain import MarkovChain
 
 
@@ -37,86 +39,39 @@ class ClusterChain:
     def __init__(
         self,
         params: ModelParameters,
-        transition_fn=None,
-        include_polluted_split: bool = False,
+        *,
+        policy: CountAdversaryPolicy | None = None,
+        join: JoinPolicy = JoinPolicy.SPARE_FIRST,
     ) -> None:
-        """Assemble the chain.
+        """Assemble the chain by scattering
+        :func:`~repro.core.transitions.transition_rows`.
 
-        ``transition_fn(state, params) -> dict[State, float]`` overrides
-        the Figure-2 tree; protocol variants (``repro.core.variants``)
-        use it.  ``include_polluted_split`` adds the fourth closed class
-        reachable by variants that bypass Rule 2's split prevention.
+        The defaults are the paper's chain.  ``policy`` selects a
+        count-level adversary and ``join`` the placement of joining
+        peers.  The polluted-split closed class is part of the matrix
+        exactly when the law can reach it.
         """
         self._params = params
-        self._space = StateSpace(
-            params, include_polluted_split=include_polluted_split
-        )
-        self._transition_fn = (
-            transition_fn if transition_fn is not None else transition_distribution
-        )
-        self._matrix = self._build_matrix()
+        rows = transition_rows(params, policy=policy, join=join)
+        self._space = rows.space
+        self._matrix = rows.dense_matrix()
         self._chain: MarkovChain | None = None
-        counts = [
-            len(self._space.safe),
-            len(self._space.polluted),
-            len(self._space.safe_merge),
-            len(self._space.safe_split),
-            len(self._space.polluted_merge),
-        ]
-        if include_polluted_split:
-            counts.append(len(self._space.polluted_split))
-        bounds = np.cumsum([0] + counts)
-        self._slices = {
-            Category.SAFE: slice(bounds[0], bounds[1]),
-            Category.POLLUTED: slice(bounds[1], bounds[2]),
-            Category.SAFE_MERGE: slice(bounds[2], bounds[3]),
-            Category.SAFE_SPLIT: slice(bounds[3], bounds[4]),
-            Category.POLLUTED_MERGE: slice(bounds[4], bounds[5]),
-        }
-        if include_polluted_split:
-            self._slices[Category.POLLUTED_SPLIT] = slice(
-                bounds[5], bounds[6]
-            )
+        self._slices: dict[Category, slice] = {}
+        start = 0
+        # ``Category`` lists the classes in canonical matrix order.
+        for category in Category:
+            if category is Category.POLLUTED_SPLIT and not (
+                self._space.includes_polluted_split
+            ):
+                continue
+            stop = start + len(self._space.states(category))
+            self._slices[category] = slice(start, stop)
+            start = stop
 
     @property
     def closed_categories(self) -> list[Category]:
         """The absorbing classes present in this chain's matrix."""
-        closed = [
-            Category.SAFE_MERGE,
-            Category.SAFE_SPLIT,
-            Category.POLLUTED_MERGE,
-        ]
-        if self._space.includes_polluted_split:
-            closed.append(Category.POLLUTED_SPLIT)
-        return closed
-
-    def _build_matrix(self) -> np.ndarray:
-        space = self._space
-        if (
-            self._transition_fn is transition_distribution
-            and not space.includes_polluted_split
-        ):
-            # The paper's exact chain: scatter the memoized row cache
-            # (shared with the batch Monte-Carlo engine) instead of
-            # re-deriving the Figure-2 tree state by state.
-            return transition_rows(self._params).dense_matrix()
-        size = space.model_size
-        matrix = np.zeros((size, size))
-        for state in space.transient:
-            row = space.index_of(state)
-            for target, probability in self._transition_fn(
-                state, self._params
-            ).items():
-                matrix[row, space.index_of(target)] += probability
-        closed_states = (
-            space.safe_merge + space.safe_split + space.polluted_merge
-        )
-        if space.includes_polluted_split:
-            closed_states += space.polluted_split
-        for state in closed_states:
-            index = space.index_of(state)
-            matrix[index, index] = 1.0
-        return matrix
+        return [c for c in self._slices if c.is_closed]
 
     # -- accessors -----------------------------------------------------------
 

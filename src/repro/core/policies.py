@@ -11,11 +11,10 @@ it:
   (:class:`~repro.simulation.cluster_sim.ClusterSimulator`) plays the
   switches event by event on explicit member lists;
 * the transition derivation
-  (:func:`~repro.core.transitions.policy_transition_distribution`)
-  folds the same switches into a one-step law, so variant chains and
-  batch transition rows can be assembled for *any* registered
-  adversary;
-* the vectorized batch engine samples those variant rows directly.
+  (:func:`~repro.core.transitions.transition_rows`) folds the same
+  switches into a one-step law, so chains and batch transition rows
+  can be assembled for *any* registered adversary;
+* the vectorized batch engine samples those rows directly.
 
 Keeping one frozen, hashable record shared by all three guarantees the
 oracle and the derived law can never drift apart silently -- the

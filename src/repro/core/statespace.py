@@ -93,7 +93,7 @@ class StateSpace:
             + self._by_category[Category.POLLUTED_MERGE]
         )
         if include_polluted_split:
-            # Protocol variants without Rule 2 (e.g. the naive
+            # Laws without Rule 2's split prevention (e.g. the naive
             # direct-core join baseline) can reach polluted split
             # states; they then form a fourth closed class.
             self._model_states += self._by_category[Category.POLLUTED_SPLIT]

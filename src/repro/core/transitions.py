@@ -1,11 +1,24 @@
 """The transition tree of the cluster chain (paper Figure 2).
 
-:func:`transition_distribution` returns, for one transient state
-``(s, x, y)``, the full one-step law of the chain as a mapping
-``State -> probability``.  The code follows the paper's tree literally;
-each branch is annotated with the corresponding edge labels.
+One weighted tree derives every one-step law of the chain.  It is read
+with three knobs left free:
 
-Branch structure (root probabilities ``p_j = p_l = 1/2``):
+* a :class:`~repro.core.policies.CountAdversaryPolicy` -- the four
+  adversary switches, branch for branch mirroring the scalar
+  member-list oracle
+  (:class:`~repro.simulation.cluster_sim.ClusterSimulator`); the
+  default :data:`~repro.core.policies.STRONG_POLICY` is the paper's
+  adversary (Rules 1 and 2, biased maintenance);
+* a :class:`JoinPolicy` -- where a joiner lands (the paper's spare set,
+  or the naive direct-core seat used as an ablation baseline);
+* the two root weights ``(w_join, w_leave)`` -- ``(p_join, 1 - p_join)``
+  for the unconditional law, ``(1, 0)`` and ``(0, 1)`` for the law
+  given the event kind, so any churn process reduces, event-indexed,
+  to a mixture (i.i.d. streams) or a schedule (session streams) over
+  the same tree.
+
+Branch structure under the paper's protocol and adversary (root
+probabilities ``p_j = p_l = 1/2``):
 
 * **join event** (``p_j``), joiner malicious w.p. ``p_m = mu``:
 
@@ -40,10 +53,15 @@ Branch structure (root probabilities ``p_j = p_l = 1/2``):
     * malicious core member forced out (w.p. ``1 - d**x``): if the
       remainder still holds the quorum (``x - 1 > c``) the adversary
       biases the replacement, else maintenance ``tau(x-1, ., .)`` runs.
+
+The weights are threaded down the tree rather than mixing two
+conditional laws afterwards, so the paper's rows come out of the very
+float operations the literal Figure-2 reading performs.
 """
 
 from __future__ import annotations
 
+import enum
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -57,96 +75,134 @@ from repro.core.rules import property1_survival, rule1_triggers
 from repro.core.statespace import Category, State, StateSpace, StateSpaceError
 
 
-@lru_cache(maxsize=None)
-def _transition_items(
-    state: State, params: ModelParameters
-) -> tuple[tuple[State, float], ...]:
-    """Memoized transition law as a hashable tuple of items.
+class JoinPolicy(enum.Enum):
+    """Placement policy for joining peers.
 
-    Deriving the Figure-2 tree walks the maintenance kernel's
-    hypergeometric double sum for every maintenance edge, which
-    dominates chain-assembly time.  Both :class:`ModelParameters` and
-    :class:`State` are frozen/hashable, so the derivation is shared by
-    repeated chain assemblies (sweeps re-building ``ClusterChain``) and
-    by the batch-row precomputation in :func:`transition_rows`.
+    The paper's ``join`` lands every new peer in the *spare* set, so
+    joiners get no operational power (Section IV).  ``DIRECT_CORE`` is
+    the naive baseline: a joiner takes a uniformly random seat among the
+    ``C + s + 1`` positions, displacing a uniformly chosen core member
+    to the spare set with probability ``C / (C + s + 1)``.  Rule 2 still
+    filters honest joins, but no split is prevented, so polluted splits
+    become reachable.  At extreme ``mu`` this can show *less* polluted
+    time than the paper's protocol -- polluted clusters exit by
+    splitting, spreading the capture -- while ``p(polluted absorption)``
+    dominates everywhere.
     """
-    s, x, y = state
-    delta = params.spare_max
-    if not 0 < s < delta:
-        raise StateSpaceError(
-            f"transitions are defined on transient states only, got s={s}"
-        )
-    law: dict[State, float] = defaultdict(float)
-    _add_join_branch(law, state, params)
-    _add_leave_branch(law, state, params)
-    return tuple(
-        (target, p) for target, p in law.items() if p > 0.0
-    )
+
+    SPARE_FIRST = "spare-first"
+    DIRECT_CORE = "direct-core"
 
 
-def transition_distribution(
-    state: State, params: ModelParameters
-) -> dict[State, float]:
-    """One-step law of the chain from a transient state.
-
-    Raises :class:`StateSpaceError` when called on a closed state
-    (``s = 0`` or ``s = Delta``): closed states are absorbing by
-    definition and carry identity rows in the matrix.
-
-    The underlying derivation is memoized per ``(state, params)``; the
-    returned dict is a fresh copy, safe for callers to mutate.
-    """
-    return dict(_transition_items(State(*state), params))
+#: Event-kind selectors of the one-step law.
+KIND_JOIN = "join"
+KIND_LEAVE = "leave"
+KIND_MIXED = "mixed"
 
 
-def clear_transition_caches() -> None:
-    """Drop the memoized distributions and precomputed row tables."""
-    _transition_items.cache_clear()
-    _policy_items.cache_clear()
-    _ROW_CACHE.clear()
-
-
-def _add_join_branch(
-    law: dict[State, float], state: State, params: ModelParameters
+def _add_join(
+    law: dict[State, float],
+    state: State,
+    params: ModelParameters,
+    policy: CountAdversaryPolicy,
+    join: JoinPolicy,
+    weight: float,
 ) -> None:
-    """Accumulate the join sub-tree (left half of Figure 2)."""
+    """Join sub-tree (left half of Figure 2), total mass ``weight``."""
+    if weight == 0.0:
+        return
+    if join is JoinPolicy.DIRECT_CORE:
+        _add_direct_core_join(law, state, params, policy, weight)
+        return
     s, x, y = state
-    p_join = params.p_join
     p_malicious = params.mu
-    if not params.is_polluted(x):
-        # Safe cluster: the join operation always runs.
-        law[State(s + 1, x, y + 1)] += p_join * p_malicious
-        law[State(s + 1, x, y)] += p_join * (1.0 - p_malicious)
+    if params.is_polluted(x) and policy.rule2:
+        # Rule 2 filtering by the colluding quorum.
+        if s == params.spare_max - 1:
+            # Split prevention: all joins (malicious included) discarded.
+            law[state] += weight
+            return
+        law[State(s + 1, x, y + 1)] += weight * p_malicious
+        if s > 1:
+            # Honest joiner acknowledged but silently dropped.
+            law[state] += weight * (1.0 - p_malicious)
+        else:
+            # s == 1: merge avoidance, the honest joiner is admitted.
+            law[State(s + 1, x, y)] += weight * (1.0 - p_malicious)
         return
-    # Polluted cluster: Rule 2 filters join events.
-    if s == params.spare_max - 1:
-        # Split prevention: all joins (malicious included) discarded.
-        law[state] += p_join
-        return
-    law[State(s + 1, x, y + 1)] += p_join * p_malicious
-    if s > 1:
-        # Honest joiner acknowledged but silently dropped.
-        law[state] += p_join * (1.0 - p_malicious)
-    else:
-        # s == 1: merge avoidance, the honest joiner is admitted.
-        law[State(s + 1, x, y)] += p_join * (1.0 - p_malicious)
+    # No filtering: the join operation always runs.
+    law[State(s + 1, x, y + 1)] += weight * p_malicious
+    law[State(s + 1, x, y)] += weight * (1.0 - p_malicious)
 
 
-def _add_leave_branch(
-    law: dict[State, float], state: State, params: ModelParameters
+def _add_direct_core_join(
+    law: dict[State, float],
+    state: State,
+    params: ModelParameters,
+    policy: CountAdversaryPolicy,
+    weight: float,
 ) -> None:
-    """Accumulate the leave sub-tree (right half of Figure 2)."""
+    """Join sub-tree of :data:`JoinPolicy.DIRECT_CORE`.
+
+    A polluted quorum playing Rule 2 still drops honest joins while
+    ``s > 1``, but no split is prevented: a polluted split duplicates
+    the captured region.
+    """
     s, x, y = state
-    p_leave = params.p_leave
-    p_core = params.p_core(s)
-    _add_spare_leave(law, state, params, weight=p_leave * (1.0 - p_core))
-    _add_core_leave(law, state, params, weight=p_leave * p_core)
+    p_malicious = params.mu
+    if params.is_polluted(x) and policy.rule2 and s > 1:
+        # Rule 2's join filtering survives; the honest join is dropped.
+        law[state] += weight * (1.0 - p_malicious)
+        honest_weight = 0.0
+    else:
+        honest_weight = weight * (1.0 - p_malicious)
+    malicious_weight = weight * p_malicious
+    core_seat = params.core_size / (params.core_size + s + 1)
+    p_displaced_malicious = x / params.core_size
+
+    def seat(weight: float, joiner_malicious: bool) -> None:
+        if weight == 0.0:
+            return
+        spare_seat_weight = weight * (1.0 - core_seat)
+        law[
+            State(s + 1, x, y + 1 if joiner_malicious else y)
+        ] += spare_seat_weight
+        core_seat_weight = weight * core_seat
+        if core_seat_weight == 0.0:
+            return
+        delta_x = 1 if joiner_malicious else 0
+        # Displaced core member moves to the spare set.
+        law[
+            State(s + 1, x + delta_x - 1, y + 1)
+        ] += core_seat_weight * p_displaced_malicious
+        law[
+            State(s + 1, x + delta_x, y)
+        ] += core_seat_weight * (1.0 - p_displaced_malicious)
+
+    seat(malicious_weight, joiner_malicious=True)
+    seat(honest_weight, joiner_malicious=False)
+
+
+def _add_leave(
+    law: dict[State, float],
+    state: State,
+    params: ModelParameters,
+    policy: CountAdversaryPolicy,
+    weight: float,
+) -> None:
+    """Leave sub-tree (right half of Figure 2), total mass ``weight``."""
+    if weight == 0.0:
+        return
+    p_core = params.p_core(state.s)
+    _add_spare_leave(law, state, params, policy, weight * (1.0 - p_core))
+    _add_core_leave(law, state, params, policy, weight * p_core)
 
 
 def _add_spare_leave(
     law: dict[State, float],
     state: State,
     params: ModelParameters,
+    policy: CountAdversaryPolicy,
     weight: float,
 ) -> None:
     """Leave event targeting a spare member."""
@@ -159,201 +215,10 @@ def _add_spare_leave(
         # Honest spares leave with the natural churn.
         law[State(s - 1, x, y)] += honest_weight
     malicious_weight = weight * p_malicious_spare
-    if malicious_weight > 0.0:
-        survive = property1_survival(y, params)
-        # The adversary keeps its spares in place while ids are valid.
-        law[state] += malicious_weight * survive
-        law[State(s - 1, x, y - 1)] += malicious_weight * (1.0 - survive)
-
-
-def _add_core_leave(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    weight: float,
-) -> None:
-    """Leave event targeting a core member."""
-    if weight == 0.0:
-        return
-    s, x, y = state
-    p_malicious_core = x / params.core_size
-    _add_honest_core_leave(
-        law, state, params, weight=weight * (1.0 - p_malicious_core)
-    )
-    _add_malicious_core_leave(
-        law, state, params, weight=weight * p_malicious_core
-    )
-
-
-def _add_honest_core_leave(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    weight: float,
-) -> None:
-    """An honest core member departs; the core view is repaired."""
-    if weight == 0.0:
-        return
-    s, x, y = state
-    if params.is_polluted(x):
-        # The malicious quorum biases the replacement.
-        if y > 0:
-            law[State(s - 1, x + 1, y - 1)] += weight
-        else:
-            law[State(s - 1, x, y)] += weight
-        return
-    _add_maintenance(law, state, params, malicious_core_after=x, weight=weight)
-
-
-def _add_malicious_core_leave(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    weight: float,
-) -> None:
-    """A malicious core member is targeted by the leave event."""
-    if weight == 0.0:
-        return
-    s, x, y = state
-    survive = property1_survival(x, params)
-    no_expiry_weight = weight * survive
-    if no_expiry_weight > 0.0:
-        _add_voluntary_core_leave(law, state, params, weight=no_expiry_weight)
-    forced_weight = weight * (1.0 - survive)
-    if forced_weight > 0.0:
-        _add_forced_core_leave(law, state, params, weight=forced_weight)
-
-
-def _add_voluntary_core_leave(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    weight: float,
-) -> None:
-    """No identifier expired: the adversary leaves only under Rule 1."""
-    s, x, y = state
-    if params.is_polluted(x):
-        # Never give up a won quorum.
-        law[state] += weight
-        return
-    if s > 1 and rule1_triggers(state, params):
-        _add_maintenance(
-            law, state, params, malicious_core_after=x - 1, weight=weight
-        )
-    else:
-        law[state] += weight
-
-
-def _add_forced_core_leave(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    weight: float,
-) -> None:
-    """Property 1 forces a malicious core member out."""
-    s, x, y = state
-    if x - 1 > params.pollution_quorum:
-        # Quorum retained: the adversary biases the replacement.
-        if y > 0:
-            law[State(s - 1, x, y - 1)] += weight
-        else:
-            law[State(s - 1, x - 1, y)] += weight
-        return
-    _add_maintenance(
-        law, state, params, malicious_core_after=x - 1, weight=weight
-    )
-
-
-def _add_maintenance(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    malicious_core_after: int,
-    weight: float,
-) -> None:
-    """Randomized core maintenance after a core departure.
-
-    ``malicious_core_after`` is the malicious count among the remaining
-    ``C - 1`` core members (``x`` for an honest departure, ``x - 1`` for
-    a malicious one).  The new state is
-    ``(s - 1, malicious_core_after - a + b, y + a - b)``.
-    """
-    s, _, y = state
-    for a, b, probability in maintenance_kernel(
-        malicious_core_after=malicious_core_after,
-        malicious_spare=y,
-        spare_size=s,
-        core_size=params.core_size,
-        k=params.k,
-    ):
-        target = State(s - 1, malicious_core_after - a + b, y + a - b)
-        law[target] += weight * probability
-
-
-# -- policy-conditional laws (variant-aware rows) ---------------------------
-#
-# The derivation below re-reads the Figure-2 tree with the four
-# :class:`~repro.core.policies.CountAdversaryPolicy` switches left free,
-# branch for branch mirroring the scalar member-list oracle
-# (:class:`~repro.simulation.cluster_sim.ClusterSimulator`): any
-# divergence between the two is a bug, and the equivalence suite pits
-# them against each other for every registered policy.  The laws are
-# additionally split by *event kind* -- the conditional one-step law
-# given the event is a join, and given it is a leave -- so any churn
-# process reduces, event-indexed, to a mixture (i.i.d. streams) or a
-# schedule (session streams) over the same two row tables.
-
-#: Event-kind selectors accepted by the policy-law derivation.
-KIND_JOIN = "join"
-KIND_LEAVE = "leave"
-KIND_MIXED = "mixed"
-
-
-def _policy_add_join(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    policy: CountAdversaryPolicy,
-    weight: float,
-) -> None:
-    """Join sub-tree under ``policy`` (total mass ``weight``)."""
-    s, x, y = state
-    p_malicious = params.mu
-    if params.is_polluted(x) and policy.rule2:
-        # Rule 2 filtering by the colluding quorum.
-        if s == params.spare_max - 1:
-            law[state] += weight
-            return
-        law[State(s + 1, x, y + 1)] += weight * p_malicious
-        if s > 1:
-            law[state] += weight * (1.0 - p_malicious)
-        else:
-            law[State(s + 1, x, y)] += weight * (1.0 - p_malicious)
-        return
-    # No filtering: the join operation always runs.
-    law[State(s + 1, x, y + 1)] += weight * p_malicious
-    law[State(s + 1, x, y)] += weight * (1.0 - p_malicious)
-
-
-def _policy_add_spare_leave(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    policy: CountAdversaryPolicy,
-    weight: float,
-) -> None:
-    """Leave event targeting a spare member, under ``policy``."""
-    if weight == 0.0:
-        return
-    s, x, y = state
-    p_malicious_spare = y / s
-    honest_weight = weight * (1.0 - p_malicious_spare)
-    if honest_weight > 0.0:
-        law[State(s - 1, x, y)] += honest_weight
-    malicious_weight = weight * p_malicious_spare
     if malicious_weight == 0.0:
         return
     if policy.suppress_leaves:
+        # The adversary keeps its spares in place while ids are valid.
         survive = property1_survival(y, params)
         law[state] += malicious_weight * survive
         law[State(s - 1, x, y - 1)] += malicious_weight * (1.0 - survive)
@@ -362,7 +227,44 @@ def _policy_add_spare_leave(
         law[State(s - 1, x, y - 1)] += malicious_weight
 
 
-def _policy_add_departed_core(
+def _add_core_leave(
+    law: dict[State, float],
+    state: State,
+    params: ModelParameters,
+    policy: CountAdversaryPolicy,
+    weight: float,
+) -> None:
+    """Leave event targeting a core member."""
+    if weight == 0.0:
+        return
+    s, x, y = state
+    p_malicious_core = x / params.core_size
+    honest_weight = weight * (1.0 - p_malicious_core)
+    if honest_weight > 0.0:
+        # Honest core member departs with the natural churn.
+        _add_departed_core(
+            law, state, params, policy,
+            malicious_core_after=x, weight=honest_weight,
+        )
+    malicious_weight = weight * p_malicious_core
+    if malicious_weight == 0.0:
+        return
+    if policy.suppress_leaves:
+        survive = property1_survival(x, params)
+        stay_weight = malicious_weight * survive
+        if stay_weight > 0.0:
+            _add_voluntary_core_leave(law, state, params, policy, stay_weight)
+        forced_weight = malicious_weight * (1.0 - survive)
+    else:
+        forced_weight = malicious_weight
+    if forced_weight > 0.0:
+        _add_departed_core(
+            law, state, params, policy,
+            malicious_core_after=x - 1, weight=forced_weight,
+        )
+
+
+def _add_departed_core(
     law: dict[State, float],
     state: State,
     params: ModelParameters,
@@ -383,59 +285,23 @@ def _policy_add_departed_core(
             law[State(s - 1, malicious_core_after, y)] += weight
         return
     _add_maintenance(
-        law,
-        state,
-        params,
-        malicious_core_after=malicious_core_after,
-        weight=weight,
+        law, state, params,
+        malicious_core_after=malicious_core_after, weight=weight,
     )
 
 
-def _policy_add_core_leave(
+def _add_voluntary_core_leave(
     law: dict[State, float],
     state: State,
     params: ModelParameters,
     policy: CountAdversaryPolicy,
     weight: float,
 ) -> None:
-    """Leave event targeting a core member, under ``policy``."""
-    if weight == 0.0:
-        return
-    s, x, y = state
-    p_malicious_core = x / params.core_size
-    honest_weight = weight * (1.0 - p_malicious_core)
-    if honest_weight > 0.0:
-        # Honest core member departs with the natural churn.
-        _policy_add_departed_core(
-            law, state, params, policy,
-            malicious_core_after=x, weight=honest_weight,
-        )
-    malicious_weight = weight * p_malicious_core
-    if malicious_weight == 0.0:
-        return
-    if policy.suppress_leaves:
-        survive = property1_survival(x, params)
-        stay_weight = malicious_weight * survive
-        if stay_weight > 0.0:
-            _policy_add_voluntary(law, state, params, policy, stay_weight)
-        forced_weight = malicious_weight * (1.0 - survive)
-    else:
-        forced_weight = malicious_weight
-    if forced_weight > 0.0:
-        _policy_add_departed_core(
-            law, state, params, policy,
-            malicious_core_after=x - 1, weight=forced_weight,
-        )
+    """No identifier expired: the adversary leaves only under Rule 1.
 
-
-def _policy_add_voluntary(
-    law: dict[State, float],
-    state: State,
-    params: ModelParameters,
-    policy: CountAdversaryPolicy,
-    weight: float,
-) -> None:
-    """Identifiers valid: only a Rule 1 voluntary leave applies."""
+    A won quorum is never given up, and no leave may merge the cluster
+    (``s > 1``).
+    """
     s, x, y = state
     if params.is_polluted(x) or s <= 1 or policy.rule1 == "never":
         law[state] += weight
@@ -453,70 +319,156 @@ def _policy_add_voluntary(
     )
 
 
+def _add_maintenance(
+    law: dict[State, float],
+    state: State,
+    params: ModelParameters,
+    malicious_core_after: int,
+    weight: float,
+) -> None:
+    """Randomized core maintenance after a core departure.
+
+    ``malicious_core_after`` is the malicious count among the remaining
+    ``C - 1`` core members (``x`` for an honest departure, ``x - 1`` for
+    a malicious one).  The new state is
+    ``(s - 1, malicious_core_after - a + b, y + a - b)``.
+    """
+    for target, probability in _maintenance_targets(
+        state.s, malicious_core_after, state.y, params.core_size, params.k
+    ):
+        law[target] += weight * probability
+
+
 @lru_cache(maxsize=None)
-def _policy_items(
+def _maintenance_targets(
+    s: int, malicious_core_after: int, y: int, core_size: int, k: int
+) -> tuple[tuple[State, float], ...]:
+    """Post-maintenance states and their probabilities.
+
+    The hypergeometric double sum dominates the tree walk; memoizing it
+    apart from the branch weights lets every law (mixed at any
+    ``p_join``, join, leave) reuse it.
+    """
+    return tuple(
+        (State(s - 1, malicious_core_after - a + b, y + a - b), probability)
+        for a, b, probability in maintenance_kernel(
+            malicious_core_after=malicious_core_after,
+            malicious_spare=y,
+            spare_size=s,
+            core_size=core_size,
+            k=k,
+        )
+    )
+
+
+@lru_cache(maxsize=None)
+def _law_items(
     state: State,
     params: ModelParameters,
     policy: CountAdversaryPolicy,
-    kind: str,
+    join: JoinPolicy,
+    join_weight: float,
+    leave_weight: float,
 ) -> tuple[tuple[State, float], ...]:
-    """Memoized kind-conditional policy law (total mass 1)."""
-    s, _, _ = state
-    if not 0 < s < params.spare_max:
+    """Memoized one-step law of a transient state, as hashable items.
+
+    Deriving the tree walks the maintenance kernel's hypergeometric
+    double sum for every maintenance edge, which dominates row
+    assembly; the memo shares it between the per-state view
+    (:func:`transition_distribution`) and the row tables
+    (:func:`transition_rows`).
+    """
+    if not 0 < state.s < params.spare_max:
         raise StateSpaceError(
-            f"transitions are defined on transient states only, got s={s}"
+            "transitions are defined on transient states only, "
+            f"got s={state.s}"
         )
     law: dict[State, float] = defaultdict(float)
-    if kind == KIND_JOIN:
-        _policy_add_join(law, state, params, policy, weight=1.0)
-    elif kind == KIND_LEAVE:
-        p_core = params.p_core(s)
-        _policy_add_spare_leave(
-            law, state, params, policy, weight=1.0 - p_core
-        )
-        _policy_add_core_leave(law, state, params, policy, weight=p_core)
-    else:
-        raise ValueError(f"kind must be join/leave, got {kind!r}")
+    _add_join(law, state, params, policy, join, join_weight)
+    _add_leave(law, state, params, policy, leave_weight)
     return tuple((target, p) for target, p in law.items() if p > 0.0)
 
 
-def policy_transition_distribution(
+def _law_key(
+    params: ModelParameters,
+    policy: CountAdversaryPolicy | None,
+    kind: str,
+    p_join: float | None,
+    join: JoinPolicy,
+) -> tuple:
+    """Normalized ``(params, policy, kind, p_join, join)`` selector.
+
+    ``policy=None`` is the strong adversary; a mixed law's ``p_join``
+    defaults to ``params.p_join``.  The kind-conditional laws carry no
+    join mix, so passing one with them is an error rather than a
+    silently ignored argument.
+    """
+    policy = STRONG_POLICY if policy is None else policy
+    if kind == KIND_MIXED:
+        p_join = params.p_join if p_join is None else float(p_join)
+        if not 0.0 <= p_join <= 1.0:
+            raise ValueError(f"p_join must be in [0, 1], got {p_join}")
+    elif kind in (KIND_JOIN, KIND_LEAVE):
+        if p_join is not None:
+            raise ValueError(
+                f"p_join applies to the mixed law only, not kind={kind!r}"
+            )
+    else:
+        raise ValueError(f"kind must be join/leave/mixed, got {kind!r}")
+    return (params, policy, kind, p_join, join)
+
+
+def _branch_weights(kind: str, p_join: float | None) -> tuple[float, float]:
+    """Root weights ``(w_join, w_leave)`` of a normalized selector."""
+    if kind == KIND_JOIN:
+        return 1.0, 0.0
+    if kind == KIND_LEAVE:
+        return 0.0, 1.0
+    return p_join, 1.0 - p_join
+
+
+def transition_distribution(
     state: State,
     params: ModelParameters,
+    *,
     policy: CountAdversaryPolicy | None = None,
     kind: str = KIND_MIXED,
     p_join: float | None = None,
+    join: JoinPolicy = JoinPolicy.SPARE_FIRST,
 ) -> dict[State, float]:
-    """One-step law of the chain under an arbitrary count-level policy.
+    """One-step law of the chain from a transient state.
 
-    ``kind`` selects the conditional law given the event kind
-    (:data:`KIND_JOIN` / :data:`KIND_LEAVE`) or the :data:`KIND_MIXED`
-    unconditional law, in which case the event is a join with
-    probability ``p_join`` (default ``params.p_join``).  For the strong
-    policy at the default mix this agrees with
-    :func:`transition_distribution` (the legacy derivation stays the
-    byte-exact reference; equality of the two is covered by tests).
+    ``kind`` selects the unconditional law (:data:`KIND_MIXED`, a join
+    with probability ``p_join``) or the law given the event kind
+    (:data:`KIND_JOIN` / :data:`KIND_LEAVE`); the selector arguments
+    are those of :func:`transition_rows`.
+
+    Raises :class:`StateSpaceError` when called on a closed state
+    (``s = 0`` or ``s = Delta``): closed states are absorbing by
+    definition and carry identity rows in the matrix.  The derivation
+    is memoized; the returned dict is a fresh copy, safe to mutate.
     """
-    state = State(*state)
-    if policy is None:
-        policy = STRONG_POLICY
-    if kind in (KIND_JOIN, KIND_LEAVE):
-        return dict(_policy_items(state, params, policy, kind))
-    if kind != KIND_MIXED:
-        raise ValueError(f"kind must be join/leave/mixed, got {kind!r}")
-    p = params.p_join if p_join is None else float(p_join)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p_join must be in [0, 1], got {p}")
-    law: dict[State, float] = defaultdict(float)
-    for target, probability in _policy_items(
-        state, params, policy, KIND_JOIN
-    ):
-        law[target] += p * probability
-    for target, probability in _policy_items(
-        state, params, policy, KIND_LEAVE
-    ):
-        law[target] += (1.0 - p) * probability
-    return {target: p_ for target, p_ in law.items() if p_ > 0.0}
+    params, policy, kind, p_join, join = _law_key(
+        params, policy, kind, p_join, join
+    )
+    return dict(
+        _law_items(
+            State(*state), params, policy, join,
+            *_branch_weights(kind, p_join),
+        )
+    )
+
+
+def reaches_polluted_split(
+    policy: CountAdversaryPolicy, join: JoinPolicy
+) -> bool:
+    """Whether the law can enter the polluted-split closed class.
+
+    Under Rule 2 a spare-first cluster never splits while polluted;
+    dropping Rule 2 or seating joiners directly in the core lifts that
+    prevention.
+    """
+    return not policy.rule2 or join is JoinPolicy.DIRECT_CORE
 
 
 # -- precomputed transition rows (shared by matrix assembly and the
@@ -544,9 +496,9 @@ CODE_POLLUTED_SPLIT = CATEGORY_CODES[Category.POLLUTED_SPLIT]
 
 @dataclass(frozen=True)
 class TransitionRows:
-    """Dense, padded one-step law of the whole chain for one parameter set.
+    """Dense, padded one-step law of the whole chain for one selector.
 
-    Row ``i`` describes model state ``i`` in the canonical
+    Row ``i`` describes model state ``i`` of ``space``, the canonical
     :class:`~repro.core.statespace.StateSpace` ordering.  Each row lists
     its (few) reachable targets left-aligned:
 
@@ -567,18 +519,20 @@ class TransitionRows:
     """
 
     params: ModelParameters
+    space: StateSpace
     targets: np.ndarray
     probs: np.ndarray
     cum_probs: np.ndarray
     category_codes: np.ndarray
     state_index: np.ndarray
-    #: Count-level policy the rows were derived for (``None`` = the
-    #: legacy strong-adversary derivation, byte-exact with PR 1).
-    policy: CountAdversaryPolicy | None = None
+    #: Count-level policy the rows were derived for.
+    policy: CountAdversaryPolicy
     #: Event-kind conditioning: ``"mixed"``, ``"join"`` or ``"leave"``.
-    kind: str = KIND_MIXED
-    #: Join probability of a mixed law (``None`` = ``params.p_join``).
-    p_join_mix: float | None = None
+    kind: str
+    #: Join probability of a mixed law (``None`` for the kind laws).
+    p_join_mix: float | None
+    #: Placement of joining peers.
+    join: JoinPolicy
 
     @property
     def n_states(self) -> int:
@@ -589,6 +543,11 @@ class TransitionRows:
     def width(self) -> int:
         """Padded row width (maximal number of distinct targets)."""
         return self.targets.shape[1]
+
+    @property
+    def key(self) -> tuple:
+        """The normalized selector the rows were built for."""
+        return (self.params, self.policy, self.kind, self.p_join_mix, self.join)
 
     def index_of(self, state: State) -> int:
         """Model index of ``state``; raises on non-model states."""
@@ -621,22 +580,40 @@ class TransitionRows:
 _ROW_CACHE: dict[tuple, TransitionRows] = {}
 
 
-def _assemble_rows(
+def transition_rows(
     params: ModelParameters,
-    space: StateSpace,
-    items_fn,
     *,
-    policy: CountAdversaryPolicy | None,
-    kind: str,
-    p_join_mix: float | None,
+    policy: CountAdversaryPolicy | None = None,
+    kind: str = KIND_MIXED,
+    p_join: float | None = None,
+    join: JoinPolicy = JoinPolicy.SPARE_FIRST,
 ) -> TransitionRows:
-    """Pad one-step laws of every model state into dense sampled rows.
+    """Memoized :class:`TransitionRows` of one law.
 
-    ``items_fn(state) -> iterable[(State, prob)]`` supplies the law of
-    each transient state; closed states carry probability-one self
-    loops.  Shared by the legacy strong-adversary rows and every
-    policy/kind variant.
+    The selector picks the adversary ``policy`` (``None`` = the paper's
+    strong adversary), the event-kind conditioning (:data:`KIND_MIXED`,
+    :data:`KIND_JOIN`, :data:`KIND_LEAVE`), the join probability of the
+    mixed law (``None`` = ``params.p_join``; an error with the kind
+    laws) and the ``join`` placement.  With the defaults these are the
+    paper's exact rows.  Chain assembly
+    (:class:`~repro.core.matrix.ClusterChain`) scatters them into its
+    dense matrix and the batch Monte-Carlo engine samples them directly,
+    so the tree is derived once per law across the whole process.
+
+    The polluted-split closed class is enumerated exactly when the law
+    can reach it (:func:`reaches_polluted_split`); its states come last,
+    so every other state keeps its index, and the join, leave and mixed
+    rows of one ``(policy, join)`` pair share one indexing.
     """
+    key = _law_key(params, policy, kind, p_join, join)
+    cached = _ROW_CACHE.get(key)
+    if cached is not None:
+        return cached
+    params, policy, kind, p_join, join = key
+    weights = _branch_weights(kind, p_join)
+    space = StateSpace(
+        params, include_polluted_split=reaches_polluted_split(policy, join)
+    )
     states = space.model_states
     n_transient = len(space.transient)
     per_row: list[list[tuple[int, float]]] = []
@@ -644,7 +621,9 @@ def _assemble_rows(
         if i < n_transient:
             items = sorted(
                 (space.index_of(target), p)
-                for target, p in items_fn(state)
+                for target, p in _law_items(
+                    state, params, policy, join, *weights
+                )
             )
         else:
             items = [(i, 1.0)]
@@ -674,8 +653,9 @@ def _assemble_rows(
         state_index[s, x, y] = i
     for array in (targets, probs, cum_probs, category_codes, state_index):
         array.setflags(write=False)
-    return TransitionRows(
+    rows = TransitionRows(
         params=params,
+        space=space,
         targets=targets,
         probs=probs,
         cum_probs=cum_probs,
@@ -683,66 +663,8 @@ def _assemble_rows(
         state_index=state_index,
         policy=policy,
         kind=kind,
-        p_join_mix=p_join_mix,
+        p_join_mix=p_join,
+        join=join,
     )
-
-
-def transition_rows(
-    params: ModelParameters,
-    *,
-    policy: CountAdversaryPolicy | None = None,
-    kind: str = KIND_MIXED,
-    p_join: float | None = None,
-) -> TransitionRows:
-    """Memoized :class:`TransitionRows` for one parameter set.
-
-    With the default arguments this is the paper's exact chain, built
-    once per :class:`ModelParameters` through the legacy (byte-exact)
-    derivation; chain assembly (:class:`~repro.core.matrix.ClusterChain`)
-    scatters the rows into its dense matrix and the batch Monte-Carlo
-    engine samples them directly, so the Figure-2 tree is derived
-    exactly once per parameter point across the whole process.
-
-    Passing a :class:`~repro.core.policies.CountAdversaryPolicy`, an
-    event-kind conditioning (:data:`KIND_JOIN` / :data:`KIND_LEAVE`) or
-    a non-default join mix assembles *variant rows* through
-    :func:`policy_transition_distribution` instead.  Variant rows are
-    enumerated over the full space including the polluted-split closed
-    class (policies that drop Rule 2 can reach it), so their state
-    indexing is a superset of -- but not interchangeable with -- the
-    legacy rows; each variant is cached under its own key.
-    """
-    legacy = policy is None and kind == KIND_MIXED and p_join is None
-    key = (
-        params
-        if legacy
-        else (params, policy or STRONG_POLICY, kind, p_join)
-    )
-    cached = _ROW_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if legacy:
-        space = StateSpace(params)
-        rows = _assemble_rows(
-            params,
-            space,
-            lambda state: _transition_items(state, params),
-            policy=None,
-            kind=KIND_MIXED,
-            p_join_mix=None,
-        )
-    else:
-        resolved = policy or STRONG_POLICY
-        space = StateSpace(params, include_polluted_split=True)
-        rows = _assemble_rows(
-            params,
-            space,
-            lambda state: policy_transition_distribution(
-                state, params, resolved, kind=kind, p_join=p_join
-            ).items(),
-            policy=resolved,
-            kind=kind,
-            p_join_mix=p_join,
-        )
     _ROW_CACHE[key] = rows
     return rows

@@ -169,15 +169,6 @@ class FaultPlan:
     def rules(self) -> list[FaultRule]:
         return list(self._rules)
 
-    def fired_counts(self) -> dict[str, int]:
-        """``{"<site>:<action>": fires}`` for every rule (diagnostic)."""
-        with self._lock:
-            counts: dict[str, int] = {}
-            for rule, fired in zip(self._rules, self._fired):
-                label = f"{rule.site}:{rule.action}"
-                counts[label] = counts.get(label, 0) + fired
-            return counts
-
     def check(self, site: str, context: str) -> FaultRule | None:
         """The rule firing at this crossing of ``site``, if any."""
         with self._lock:

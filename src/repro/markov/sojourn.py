@@ -104,17 +104,6 @@ class TwoSubsetSojourn:
         """Return ``(I - M_P)^{-1} rhs``."""
         return solve_fundamental(self.block_pp, rhs)
 
-    def _subset_p_unreachable(self) -> bool:
-        """True when ``P`` carries no initial mass and no inbound flow.
-
-        Degenerate decompositions (e.g. the cluster model at mu = 0,
-        where safe states can never produce a malicious core) may leave
-        ``M_P`` with invariant subsets; skipping the solve is then both
-        correct (the terms are multiplied by zero) and necessary
-        (``I - M_P`` can be singular).
-        """
-        return not self.initial_p.any() and not self.block_sp.any()
-
     @property
     def v(self) -> np.ndarray:
         """Entry law of the first sojourn in ``S``:

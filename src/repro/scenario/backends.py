@@ -419,12 +419,12 @@ class BatchBackend:
 
     The universal fast path: *every* adversary with a count-level
     policy and *every* churn model with an event-kind law runs here --
-    variant transition rows fold the policy and the i.i.d. join mix
+    the transition rows fold the policy and the i.i.d. join mix
     into the sampled law, and session streams play through a
     materialized kind schedule.  The paper's default point (strong
-    adversary, Bernoulli churn at the model's ``p_join``) keeps the
-    historical per-event path byte for byte; other points default to
-    geometric skip sampling along the event axis.
+    adversary, Bernoulli churn at the model's ``p_join``) defaults to
+    the per-event advance; other i.i.d. points default to geometric
+    skip sampling along the event axis.
 
     Options: ``mode`` (``"skip"``/``"event"``) overrides the advance
     strategy and ``chunk_size`` streams large ``runs`` through a fixed
@@ -446,22 +446,11 @@ class BatchBackend:
         chunk_size = None if chunk is None else int(chunk)
         rng = _spec_rng(spec)
         law = _event_kind_law(spec, rng)
-        default_point = (
-            spec.adversary == "strong"
-            and isinstance(law, IIDKinds)
-            and law.p_join == spec.params.p_join
-        )
-        if default_point and mode != "skip":
-            # The historical path, byte-identical for a given seed.
-            summary = batch_monte_carlo_summary(
-                spec.params,
-                rng,
-                runs=spec.runs,
-                initial=spec.initial,
-                max_steps=spec.max_steps,
-                chunk_size=chunk_size,
+        if isinstance(law, IIDKinds):
+            default_point = (
+                spec.adversary == "strong"
+                and law.p_join == spec.params.p_join
             )
-        elif isinstance(law, IIDKinds):
             summary = batch_monte_carlo_summary(
                 spec.params,
                 rng,
@@ -470,7 +459,7 @@ class BatchBackend:
                 max_steps=spec.max_steps,
                 adversary=policy,
                 p_join=law.p_join,
-                mode=mode or "skip",
+                mode=mode or ("event" if default_point else "skip"),
                 chunk_size=chunk_size,
             )
         else:
@@ -527,7 +516,7 @@ class CompetingBackend:
     runs on both engines; session churn has no per-cluster event-kind
     reduction under uniform dispatch and is refused loudly.  The
     ``event_batching`` option switches the batch engine to event-axis
-    skip sampling; the default point stays byte-identical to PR 2.
+    skip sampling.
     """
 
     def __init__(self, engine: str) -> None:
@@ -551,35 +540,20 @@ class CompetingBackend:
                 f"engine {self.name!r} has no event-axis dispatch; "
                 "event_batching applies to 'competing-batch' only"
             )
-        default_point = (
-            spec.adversary == "strong"
-            and law.p_join == spec.params.p_join
-            and not event_batching
-        )
         safe_total: np.ndarray | None = None
         polluted_total: np.ndarray | None = None
         events: np.ndarray | None = None
         for replication in range(spec.replications):
-            if default_point:
-                # The historical path, byte-identical for a given seed.
-                simulation = CompetingClustersSimulation(
-                    spec.params,
-                    spec.n,
-                    _spec_rng(spec, replication),
-                    initial=spec.initial,
-                    engine=self._engine,
-                )
-            else:
-                simulation = CompetingClustersSimulation(
-                    spec.params,
-                    spec.n,
-                    _spec_rng(spec, replication),
-                    initial=spec.initial,
-                    engine=self._engine,
-                    adversary=policy,
-                    p_join=law.p_join,
-                    event_batching=event_batching,
-                )
+            simulation = CompetingClustersSimulation(
+                spec.params,
+                spec.n,
+                _spec_rng(spec, replication),
+                initial=spec.initial,
+                engine=self._engine,
+                adversary=policy,
+                p_join=law.p_join,
+                event_batching=event_batching,
+            )
             series = simulation.run(
                 spec.events, record_every=spec.record_every
             )

@@ -17,7 +17,7 @@ a population advances per event batch with two NumPy primitives:
 
 Three extensions make the batch tier the universal fast path:
 
-* **variant rows** -- the engine accepts any registered
+* **policy rows** -- the engine accepts any registered
   :class:`~repro.core.policies.CountAdversaryPolicy` and join mix, so
   every adversary registry entry (and any i.i.d.-kind churn process)
   runs vectorized instead of falling back to the scalar tier;
@@ -47,8 +47,7 @@ output records of their scalar counterparts: results are deterministic
 for a seeded :class:`numpy.random.Generator`, and the occupancy /
 absorption statistics agree with the scalar oracle in distribution
 (checked by ``tests/simulation/test_batch_sim.py``).  Population sizes
-of ``n = 100k+`` clusters are practical at this tier.  The default
-arguments reproduce the PR 1 behaviour draw for draw.
+of ``n = 100k+`` clusters are practical at this tier.
 """
 
 from __future__ import annotations
@@ -153,19 +152,14 @@ class _SkipTables:
     width: int
 
 
-#: Skip tables per logical row identity.  The key mirrors the cache key
-#: of :func:`~repro.core.transitions.transition_rows` -- it fully
-#: determines the sampled law, so entries stay valid even if the row
-#: cache is cleared and rebuilt.
+#: Skip tables per row table, keyed by its normalized law selector
+#: (:attr:`~repro.core.transitions.TransitionRows.key`), which fully
+#: determines the sampled law.
 _SKIP_CACHE: dict[tuple, _SkipTables] = {}
 
 
-def _skip_cache_key(rows: TransitionRows) -> tuple:
-    return (rows.params, rows.policy, rows.kind, rows.p_join_mix)
-
-
 def _build_skip_tables(rows: TransitionRows) -> _SkipTables:
-    key = _skip_cache_key(rows)
+    key = rows.key
     cached = _SKIP_CACHE.get(key)
     if cached is not None:
         return cached
@@ -227,11 +221,9 @@ class BatchClusterEngine:
     for the paper's strong adversary), ``p_join`` overrides the join
     probability of the mixed law (i.i.d.-kind churn reduces to this),
     and ``with_kind_rows`` additionally assembles the join- and
-    leave-conditional tables needed by scheduled-kind stepping.  With
-    all three at their defaults the engine uses the legacy rows and is
-    draw-for-draw identical to the PR 1 engine; any variant switches to
-    the policy rows of :func:`~repro.core.transitions.transition_rows`,
-    which enumerate the polluted-split closed class as well.
+    leave-conditional tables needed by scheduled-kind stepping.  All
+    of them are rows of :func:`~repro.core.transitions.transition_rows`
+    for the same policy, so they share one state indexing.
     """
 
     def __init__(
@@ -244,19 +236,9 @@ class BatchClusterEngine:
     ) -> None:
         self._params = params
         self._rng = rng
-        variant = (
-            policy is not None or p_join is not None or with_kind_rows
-        )
         with _phase("row-assembly"):
-            if variant:
-                self._policy = resolve_count_policy(policy)
-                rows = transition_rows(
-                    params, policy=self._policy, p_join=p_join
-                )
-            else:
-                self._policy = None
-                rows = transition_rows(params)
-            self._p_join = p_join
+            self._policy = resolve_count_policy(policy)
+            rows = transition_rows(params, policy=self._policy, p_join=p_join)
             self._rows = rows
             self._targets = rows.targets
             self._width = rows.width
@@ -283,8 +265,8 @@ class BatchClusterEngine:
         return self._rows
 
     @property
-    def policy(self) -> CountAdversaryPolicy | None:
-        """The variant policy (``None`` = legacy strong rows)."""
+    def policy(self) -> CountAdversaryPolicy:
+        """The count-level adversary policy of the rows."""
         return self._policy
 
     @property
@@ -564,7 +546,7 @@ def _run_event_mode(
     state: _TrajectoryArrays,
     max_steps: int,
 ) -> None:
-    """Per-event lockstep advance (the PR 1 loop, draw for draw)."""
+    """Per-event lockstep advance: one uniform draw per trajectory."""
     indices = state.indices
     time_safe = state.time_safe
     time_polluted = state.time_polluted
@@ -825,15 +807,15 @@ def run_batch_trajectories(
     trajectory, exactly like the scalar
     :meth:`~repro.simulation.cluster_sim.ClusterSimulator.run`.
 
-    ``mode="event"`` (default) advances one event per iteration -- the
-    PR 1 loop, byte-identical for a given seed.  ``mode="skip"``
-    dispatches multi-event blocks per state via geometric skip sampling
-    (equal in law, different draws).  A ``kind_schedule`` (boolean
-    array, True = join) switches to scheduled-kind stepping for
-    non-i.i.d. churn: lanes of trajectories tile the (cyclic) schedule
-    sequentially, reproducing the scalar oracle's back-to-back stream
-    consumption (see :func:`_run_scheduled_mode`); it requires an
-    engine built ``with_kind_rows=True`` and forces per-event mode.
+    ``mode="event"`` (default) advances one event per iteration.
+    ``mode="skip"`` dispatches multi-event blocks per state via
+    geometric skip sampling (equal in law, different draws).  A
+    ``kind_schedule`` (boolean array, True = join) switches to
+    scheduled-kind stepping for non-i.i.d. churn: lanes of trajectories
+    tile the (cyclic) schedule sequentially, reproducing the scalar
+    oracle's back-to-back stream consumption (see
+    :func:`_run_scheduled_mode`); it requires an engine built
+    ``with_kind_rows=True`` and forces per-event mode.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -986,8 +968,7 @@ def batch_monte_carlo_summary(
     event-kind law (``p_join`` for i.i.d. kinds, ``kind_schedule`` for
     materialized session streams), the advance ``mode``, and a
     ``chunk_size`` that streams ``runs`` through a fixed-size memory
-    envelope; with all of them at their defaults the output is
-    byte-identical to PR 1 for a given seed.
+    envelope.
     """
     engine = BatchClusterEngine(
         params,
@@ -1067,7 +1048,7 @@ class BatchCompetingClustersSimulation:
 
     Two dispatch strategies share the recording contract:
 
-    * the PR 1 **per-event** rounds (default): events between two
+    * the **per-event** rounds (default): events between two
       record points are drawn as one block and applied in rounds, every
       round stepping the first pending hit of each distinct cluster;
     * **event-axis batching** (``event_batching=True``): the block's

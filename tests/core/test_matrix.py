@@ -6,6 +6,7 @@ import pytest
 from repro.core.matrix import ClusterChain
 from repro.core.parameters import ModelParameters
 from repro.core.statespace import Category, State
+from repro.markov import classify
 
 
 class TestAssembly:
@@ -91,17 +92,21 @@ class TestIndicatorsAndSplitting:
 
 class TestAbsorbingStructure:
     def test_recurrent_classes_are_exactly_the_closed_states(self, attack_chain):
-        chain = attack_chain.as_markov_chain()
+        states = attack_chain.space.model_states
+        absorbing = classify.absorbing_states(attack_chain.matrix)
         closed = {
             tuple(state)
             for state in attack_chain.space.safe_merge
             + attack_chain.space.safe_split
             + attack_chain.space.polluted_merge
         }
-        assert set(chain.absorbing_states()) == closed
+        assert {tuple(states[i]) for i in absorbing} == closed
 
     def test_every_transient_state_reaches_absorption(self, attack_chain):
-        chain = attack_chain.as_markov_chain()
-        transient = set(chain.transient_states())
+        states = attack_chain.space.model_states
+        transient = {
+            tuple(states[i])
+            for i in classify.transient_states(attack_chain.matrix)
+        }
         expected = {tuple(s) for s in attack_chain.space.transient}
         assert transient == expected

@@ -1,10 +1,10 @@
 """Policy-conditional transition laws: derivation vs the scalar oracle.
 
-Three layers of cross-checks pin the variant-aware rows:
+Three layers of cross-checks pin the policy-aware rows (exact digests
+live in ``test_transition_pins.py``):
 
-* algebraic -- the strong policy's mixed law must equal the legacy
-  Figure-2 derivation exactly, and every kind-conditional pair must mix
-  back into the unconditional law;
+* algebraic -- every kind-conditional pair must mix back into the
+  unconditional law;
 * stochastic -- the policy laws must be probability distributions over
   the model space for every registered policy and kind;
 * operational -- one-event empirical frequencies of the scalar
@@ -25,16 +25,15 @@ from repro.core.policies import (
     STRONG_POLICY,
     resolve_count_policy,
 )
-from repro.core.statespace import State, StateSpace
+from repro.core.statespace import Category, State, StateSpace
 from repro.core.transitions import (
     CODE_POLLUTED_SPLIT,
     KIND_JOIN,
     KIND_LEAVE,
-    policy_transition_distribution,
+    JoinPolicy,
     transition_distribution,
     transition_rows,
 )
-from repro.core.variants import build_policy_chain
 from repro.simulation.cluster_sim import ClusterSimulator
 
 ATTACK = ModelParameters(core_size=7, spare_max=7, k=3, mu=0.25, d=0.8)
@@ -43,26 +42,13 @@ POLICIES = (STRONG_POLICY, PASSIVE_POLICY, GREEDY_LEAVE_POLICY)
 
 
 class TestPolicyLawAlgebra:
-    def test_strong_mixed_law_equals_legacy(self):
-        space = StateSpace(ATTACK, include_polluted_split=True)
-        for state in space.transient:
-            legacy = transition_distribution(state, ATTACK)
-            derived = policy_transition_distribution(
-                state, ATTACK, STRONG_POLICY
-            )
-            assert set(legacy) == set(derived), state
-            for target, probability in legacy.items():
-                assert derived[target] == pytest.approx(
-                    probability, abs=1e-12
-                ), (state, target)
-
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
     def test_kind_laws_are_distributions(self, policy):
         space = StateSpace(ATTACK, include_polluted_split=True)
         for state in space.transient:
             for kind in (KIND_JOIN, KIND_LEAVE):
-                law = policy_transition_distribution(
-                    state, ATTACK, policy, kind=kind
+                law = transition_distribution(
+                    state, ATTACK, policy=policy, kind=kind
                 )
                 assert sum(law.values()) == pytest.approx(1.0, abs=1e-9)
                 for target in law:
@@ -73,14 +59,14 @@ class TestPolicyLawAlgebra:
         space = StateSpace(ATTACK, include_polluted_split=True)
         p = 0.37
         for state in space.transient[::5]:
-            join = policy_transition_distribution(
-                state, ATTACK, policy, kind=KIND_JOIN
+            join = transition_distribution(
+                state, ATTACK, policy=policy, kind=KIND_JOIN
             )
-            leave = policy_transition_distribution(
-                state, ATTACK, policy, kind=KIND_LEAVE
+            leave = transition_distribution(
+                state, ATTACK, policy=policy, kind=KIND_LEAVE
             )
-            mixed = policy_transition_distribution(
-                state, ATTACK, policy, p_join=p
+            mixed = transition_distribution(
+                state, ATTACK, policy=policy, p_join=p
             )
             recombined: dict = {}
             for target, probability in join.items():
@@ -101,21 +87,38 @@ class TestPolicyLawAlgebra:
         from repro.core.statespace import StateSpaceError
 
         with pytest.raises(StateSpaceError):
-            policy_transition_distribution(
-                State(0, 0, 0), ATTACK, STRONG_POLICY
+            transition_distribution(
+                State(0, 0, 0), ATTACK, policy=STRONG_POLICY
             )
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            policy_transition_distribution(
-                State(3, 0, 0), ATTACK, STRONG_POLICY, kind="merge"
+            transition_distribution(
+                State(3, 0, 0), ATTACK, policy=STRONG_POLICY, kind="merge"
             )
+
+    @pytest.mark.parametrize("kind", (KIND_JOIN, KIND_LEAVE))
+    def test_join_mix_rejected_with_kind_law(self, kind):
+        """A kind-conditional law has no join mix: passing one is an
+        error, not an argument silently ignored (and cached apart)."""
+        with pytest.raises(ValueError, match="p_join"):
+            transition_rows(ATTACK, kind=kind, p_join=0.3)
+        with pytest.raises(ValueError, match="p_join"):
+            transition_distribution(
+                State(3, 0, 0), ATTACK, kind=kind, p_join=0.3
+            )
+
+    def test_default_selectors_share_one_row_table(self):
+        rows = transition_rows(ATTACK)
+        assert transition_rows(ATTACK, policy=STRONG_POLICY) is rows
+        assert transition_rows(ATTACK, p_join=ATTACK.p_join) is rows
+        assert rows.p_join_mix == ATTACK.p_join
 
 
 class TestVariantRows:
     def test_legacy_rows_unchanged_by_default(self):
         rows = transition_rows(ATTACK)
-        assert rows.policy is None
+        assert rows.policy is STRONG_POLICY
         assert rows.n_states == StateSpace(ATTACK).model_size
 
     def test_variant_rows_include_polluted_split(self):
@@ -138,19 +141,38 @@ class TestVariantRows:
         assert first is second
         assert first is not transition_rows(ATTACK)
 
+    @pytest.mark.parametrize("join", JoinPolicy, ids=lambda j: j.value)
+    @pytest.mark.parametrize("name", COUNT_POLICIES)
+    def test_polluted_split_listed_iff_reached(self, name, join):
+        """The rows enumerate the polluted-split class exactly when some
+        transient state's law puts mass on it."""
+        policy = COUNT_POLICIES[name]
+        space = StateSpace(ATTACK, include_polluted_split=True)
+        reached = any(
+            space.categorize(target) is Category.POLLUTED_SPLIT
+            for state in space.transient
+            for target in transition_distribution(
+                state, ATTACK, policy=policy, join=join
+            )
+        )
+        rows = transition_rows(ATTACK, policy=policy, join=join)
+        listed = CODE_POLLUTED_SPLIT in rows.category_codes
+        assert listed == reached
+        assert rows.space.includes_polluted_split == listed
+
     def test_polluted_split_reachable_without_rule2(self):
         """A polluted cluster at s = Delta - 1 accepts joins when the
         policy drops Rule 2, so the polluted-split class carries mass."""
         state = State(ATTACK.spare_max - 1, 6, 2)
-        law = policy_transition_distribution(state, ATTACK, PASSIVE_POLICY)
+        law = transition_distribution(state, ATTACK, policy=PASSIVE_POLICY)
         split_mass = sum(
             probability
             for target, probability in law.items()
             if target.s == ATTACK.spare_max
         )
         assert split_mass > 0.0
-        strong_law = policy_transition_distribution(
-            state, ATTACK, STRONG_POLICY
+        strong_law = transition_distribution(
+            state, ATTACK, policy=STRONG_POLICY
         )
         assert all(
             target.s < ATTACK.spare_max for target in strong_law
@@ -158,16 +180,11 @@ class TestVariantRows:
 
 
 class TestPolicyChains:
-    def test_strong_chain_is_the_paper_chain(self):
-        chain = build_policy_chain(ATTACK, STRONG_POLICY)
-        reference = ClusterChain(ATTACK)
-        assert np.array_equal(chain.matrix, reference.matrix)
-
     @pytest.mark.parametrize(
         "policy", (PASSIVE_POLICY, GREEDY_LEAVE_POLICY), ids=lambda p: p.name
     )
     def test_variant_chain_is_stochastic(self, policy):
-        chain = build_policy_chain(ATTACK, policy)
+        chain = ClusterChain(ATTACK, policy=policy)
         assert np.allclose(chain.matrix.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -208,8 +225,8 @@ class TestOperationalEquivalence:
             (KIND_JOIN, simulator._join_event),
             (KIND_LEAVE, simulator._leave_event),
         ):
-            law = policy_transition_distribution(
-                state, ATTACK, policy, kind=kind
+            law = transition_distribution(
+                state, ATTACK, policy=policy, kind=kind
             )
             observed: dict = {}
             for _ in range(self.TRIALS):

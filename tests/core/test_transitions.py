@@ -182,12 +182,14 @@ class TestRule1InTree:
 
 class TestMemoization:
     def test_repeated_calls_share_the_derivation(self):
-        from repro.core.transitions import _transition_items
+        from repro.core.policies import STRONG_POLICY
+        from repro.core.transitions import JoinPolicy, _law_items
 
         params = ModelParameters(mu=0.15, d=0.7, k=2)
         state = State(3, 1, 1)
-        first = _transition_items(state, params)
-        second = _transition_items(state, params)
+        selector = (STRONG_POLICY, JoinPolicy.SPARE_FIRST, 0.5, 0.5)
+        first = _law_items(state, params, *selector)
+        second = _law_items(state, params, *selector)
         assert first is second  # cached tuple, derived once
 
     def test_returned_dict_is_a_fresh_copy(self):

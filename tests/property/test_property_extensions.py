@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 
 from repro.core.absorption import cluster_fate, sojourn_analysis
 from repro.core.initial import delta_distribution, resolve_initial
+from repro.core.matrix import ClusterChain
 from repro.core.parameters import ModelParameters
 from repro.core.pollution_dynamics import pollution_onset
 from repro.core.statespace import StateSpace
-from repro.core.variants import (
-    JoinPolicy,
-    build_variant_chain,
-    variant_transition_distribution,
-)
+from repro.core.transitions import JoinPolicy, transition_distribution
 
 SMALL = dict(
     suppress_health_check=[HealthCheck.too_slow],
@@ -41,8 +38,8 @@ def test_variant_rows_are_distributions(params):
     """Direct-core join rows always sum to one."""
     space = StateSpace(params, include_polluted_split=True)
     for state in space.transient:
-        law = variant_transition_distribution(
-            state, params, JoinPolicy.DIRECT_CORE
+        law = transition_distribution(
+            state, params, join=JoinPolicy.DIRECT_CORE
         )
         assert abs(sum(law.values()) - 1.0) < 1e-9
         for target in law:
@@ -60,8 +57,8 @@ def test_direct_core_propagates_more_pollution(params):
     polluted splits, spreading the capture to both halves.  Dominance
     on dissolving-while-polluted holds everywhere.
     """
-    paper = build_variant_chain(params, JoinPolicy.SPARE_FIRST)
-    naive = build_variant_chain(params, JoinPolicy.DIRECT_CORE)
+    paper = ClusterChain(params, join=JoinPolicy.SPARE_FIRST)
+    naive = ClusterChain(params, join=JoinPolicy.DIRECT_CORE)
     paper_fate = cluster_fate(paper, delta_distribution(paper))
     naive_fate = cluster_fate(naive, delta_distribution(naive))
     assert naive_fate.p_polluted_absorption >= (
@@ -74,8 +71,6 @@ def test_direct_core_propagates_more_pollution(params):
 def test_pollution_onset_consistency(params):
     """Onset probability bounds the polluted-absorption probability and
     the survival function is a proper monotone tail."""
-    from repro.core.matrix import ClusterChain
-
     chain = ClusterChain(params)
     initial = delta_distribution(chain)
     onset = pollution_onset(chain, initial, horizon=60)
@@ -91,8 +86,6 @@ def test_pollution_onset_consistency(params):
 @given(params=parameter_strategy, initial=st.sampled_from(["delta", "beta"]))
 def test_survival_sums_match_expectations(params, initial):
     """sum_n P{T_S > n} == E(T_S) (and the polluted analogue)."""
-    from repro.core.matrix import ClusterChain
-
     chain = ClusterChain(params)
     alpha = resolve_initial(chain, initial)
     analysis = sojourn_analysis(chain, alpha)
@@ -109,8 +102,6 @@ def test_survival_sums_match_expectations(params, initial):
 @settings(**SMALL)
 @given(params=parameter_strategy)
 def test_mu_zero_onset_never_happens(params):
-    from repro.core.matrix import ClusterChain
-
     clean = params.with_overrides(mu=0.0)
     chain = ClusterChain(clean)
     onset = pollution_onset(chain, delta_distribution(chain), horizon=20)

@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from repro.core.cluster_model import ClusterModel
+from repro.core.matrix import ClusterChain
 from repro.core.parameters import ModelParameters
 from repro.core.policies import COUNT_POLICIES
 from repro.core.statespace import State
-from repro.core.variants import build_policy_chain
 from repro.simulation.batch import (
     BatchClusterEngine,
     BatchCompetingClustersSimulation,
@@ -547,8 +547,8 @@ class TestVariantEquivalence:
     @pytest.fixture(scope="class")
     def chains(self):
         return {
-            name: build_policy_chain(
-                VARIANT_PARAMS, COUNT_POLICIES[name]
+            name: ClusterChain(
+                VARIANT_PARAMS, policy=COUNT_POLICIES[name]
             )
             for name in ADVERSARY_NAMES
         }
