@@ -251,9 +251,20 @@ def _event_kind_law(spec: ScenarioSpec, rng: np.random.Generator):
             f"tier (known: {known}); register one in CHURN_KIND_LAWS or "
             "use the 'scalar' or 'agent' engine"
         )
-    return CHURN_KIND_LAWS.get(spec.churn)(
-        rng, spec.params, **_churn_options(spec)
-    )
+    factory = CHURN_KIND_LAWS.get(spec.churn)
+    options = _churn_options(spec)
+    law = factory(rng, spec.params, **options)
+    if isinstance(law, ScheduledKinds) and law.schedule.size == 0:
+        import inspect
+
+        default = inspect.signature(factory).parameters.get("horizon")
+        horizon = options.get("horizon", getattr(default, "default", None))
+        raise SpecError(
+            f"churn {spec.churn!r} with horizon={horizon!r} yields no "
+            "events (no session arrives before the horizon); raise "
+            "the horizon"
+        )
+    return law
 
 
 def _analytic_initial(spec: ScenarioSpec, engine: str) -> str:

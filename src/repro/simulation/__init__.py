@@ -31,6 +31,7 @@ from repro.simulation.churn import (
     IIDKinds,
     ScheduledKinds,
     SessionPlan,
+    SessionPlans,
     bernoulli_event_stream,
     exponential_sessions,
     pareto_sessions,
@@ -76,6 +77,7 @@ __all__ = [
     "ChurnEvent",
     "EventKind",
     "SessionPlan",
+    "SessionPlans",
     "bernoulli_event_stream",
     "poisson_event_stream",
     "exponential_sessions",

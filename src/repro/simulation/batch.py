@@ -6,14 +6,17 @@ members are exchangeable -- the chain of Section VI depends on a cluster
 only through its count state ``(s, x, y)`` -- so a cluster collapses to
 one integer index into the enumerated
 :class:`~repro.core.statespace.StateSpace`, and *every* live cluster of
-a population advances per event batch with two NumPy primitives:
+a population advances per event batch by inverse-CDF sampling:
 
-1. **gather** the precomputed cumulative transition rows of the current
-   state indices (:func:`repro.core.transitions.transition_rows`, built
-   once per :class:`~repro.core.parameters.ModelParameters` and shared
-   with :class:`~repro.core.matrix.ClusterChain` assembly), and
-2. **searchsorted** one uniform draw per cluster against those rows --
-   inverse-CDF sampling of all transitions in a single call.
+1. the cumulative transition rows
+   (:func:`repro.core.transitions.transition_rows`, built once per
+   :class:`~repro.core.parameters.ModelParameters` and shared with
+   :class:`~repro.core.matrix.ClusterChain` assembly) are held
+   column-major, one contiguous array per row column;
+2. one uniform draw per cluster is compared with its own row only --
+   a gather, a compare and an add per column -- and the count of
+   entries at or below the draw is the sampled column
+   (:class:`_ColumnTable`).
 
 Three extensions make the batch tier the universal fast path:
 
@@ -36,9 +39,11 @@ Three extensions make the batch tier the universal fast path:
   envelope of the chunk size, not the run count.
 
 Non-i.i.d. churn (the session generators) is played in *scheduled*
-mode: the event-kind sequence is materialized once and trajectories
-advance in lockstep against kind-conditional row tables, each
-trajectory reading the shared schedule from its own random offset.
+mode: the event-kind sequence is materialized once, and lanes of
+trajectories advance in lockstep against one stacked join/leave row
+table.  Each lane starts at a random schedule position and tiles the
+schedule sequentially, every trajectory starting where its
+predecessor absorbed, as the scalar oracle consumes its one stream.
 
 The engine powers :func:`batch_monte_carlo_summary` (Relations (5)-(9)
 validation at scale) and :class:`BatchCompetingClustersSimulation`
@@ -115,24 +120,87 @@ def _phase(name: str):
     return obs_metrics.timed(_PHASE_SECONDS, _PHASE_CALLS, phase=name)
 
 
-def _flat_offsets(cum_probs: np.ndarray) -> np.ndarray:
-    """Row-shifted flattening of cumulative rows for one searchsorted.
+class _ColumnTable:
+    """Inverse-CDF sampling table of padded cumulative rows.
 
-    Row ``i``'s cumulative probabilities are shifted by ``2 i``, so the
-    query ``2 i + u`` lands inside row ``i``'s segment and the returned
-    flat position, minus the row origin, is the drawn column.
+    Row ``i`` of the table draws column ``j`` of its row with
+    probability ``probs[i, j]``: the drawn column is the number of the
+    row's cumulative entries ``<= u``.  Every entry is stored shifted by
+    ``2 i`` and compared with the key ``2 i + u``, and the table is held
+    column-major (one contiguous ``(n_rows,)`` array per column), so a
+    batch draw is a gather, a compare and an add per column -- no
+    search over the other rows.
+
+    ``row_shift[r]`` is the ``i`` a table row is shifted by; it is the
+    row itself except in a stacked table (:meth:`stacked`), whose second
+    half repeats the first half's shifts.  The last column is never
+    compared: its entry is ``>= 2 i + 1``, above every key
+    ``2 i + u`` (``u < 1``), except where ``2 i + u`` rounds up to
+    ``2 i + 1`` -- and that draw lands in the last column, where the
+    row's remaining mass is.
     """
-    n = cum_probs.shape[0]
-    return (cum_probs + 2.0 * np.arange(n)[:, None]).ravel()
 
+    __slots__ = ("targets", "columns", "width", "shifts")
 
-@dataclass(frozen=True)
-class _KindTable:
-    """Padded sampling table of one kind-conditional row set."""
+    def __init__(
+        self,
+        targets: np.ndarray,
+        cum_probs: np.ndarray,
+        row_shift: np.ndarray,
+    ) -> None:
+        self.width = targets.shape[1]
+        self.targets = targets.ravel()
+        self.shifts = 2.0 * row_shift
+        shifted = cum_probs + self.shifts[:, None]
+        self.columns = tuple(
+            np.ascontiguousarray(shifted[:, j])
+            for j in range(self.width - 1)
+        )
+        for array in (self.targets, self.shifts, *self.columns):
+            array.setflags(write=False)
 
-    targets: np.ndarray
-    flat_cum: np.ndarray
-    width: int
+    @classmethod
+    def of(
+        cls, targets: np.ndarray, cum_probs: np.ndarray
+    ) -> _ColumnTable:
+        """Table of one row set, row ``i`` shifted by ``2 i``."""
+        return cls(targets, cum_probs, np.arange(targets.shape[0]))
+
+    @classmethod
+    def stacked(
+        cls, first: TransitionRows, second: TransitionRows
+    ) -> _ColumnTable:
+        """Rows of ``first`` then rows of ``second`` (same state indexing):
+        table row ``i + n`` is ``second``'s row ``i``, shifted by ``2 i``.
+        The narrower row set is padded with its last target and ``+inf``
+        entries, which no key reaches."""
+        n = first.n_states
+        width = max(first.width, second.width)
+        targets = np.empty((2 * n, width), dtype=np.intp)
+        cum = np.full((2 * n, width), np.inf)
+        for half, rows in enumerate((first, second)):
+            block = slice(half * n, (half + 1) * n)
+            targets[block, : rows.width] = rows.targets
+            targets[block, rows.width :] = rows.targets[:, -1:]
+            cum[block, : rows.width] = rows.cum_probs
+        return cls(targets, cum, np.tile(np.arange(n), 2))
+
+    def sample(self, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Targets drawn from table ``rows`` with uniforms ``draws``."""
+        rows = rows.astype(np.intp, copy=False)
+        return self.targets[self.flat_positions(rows, draws)]
+
+    def flat_positions(
+        self, rows: np.ndarray, draws: np.ndarray
+    ) -> np.ndarray:
+        """Flat index of each drawn entry: the row's start plus its
+        compared entries ``<=`` the row's key ``2 i + u``."""
+        keys = self.shifts[rows]
+        keys += draws
+        flat = rows * self.width
+        for column in self.columns:
+            flat += column[rows] <= keys
+        return flat
 
 
 @dataclass(frozen=True)
@@ -142,14 +210,12 @@ class _SkipTables:
     ``inv_log_stay[i]`` is ``1 / log p_stay(i)`` (``-0.0`` when the
     state has no self loop, so ``log(u) * inv_log_stay`` is ``+0`` and
     the dwell collapses to one event; ``-inf`` when it never leaves, so
-    the dwell saturates at the caller's cap); ``targets``/``flat_cum``
-    sample the conditional landing law with the self loop removed.
+    the dwell saturates at the caller's cap); ``landing`` samples the
+    conditional landing law with the self loop removed.
     """
 
     inv_log_stay: np.ndarray
-    targets: np.ndarray
-    flat_cum: np.ndarray
-    width: int
+    landing: _ColumnTable
 
 
 #: Skip tables per row table, keyed by its normalized law selector
@@ -195,15 +261,9 @@ def _build_skip_tables(rows: TransitionRows) -> _SkipTables:
         probs[i, :count] = [p for _, p in items]
     cum = probs.cumsum(axis=1)
     cum[:, -1] = np.maximum(cum[:, -1], 1.0)
-    for array in (inv_log_stay, targets):
-        array.setflags(write=False)
-    flat = _flat_offsets(cum)
-    flat.setflags(write=False)
+    inv_log_stay.setflags(write=False)
     tables = _SkipTables(
-        inv_log_stay=inv_log_stay,
-        targets=targets,
-        flat_cum=flat,
-        width=cond_width,
+        inv_log_stay=inv_log_stay, landing=_ColumnTable.of(targets, cum)
     )
     _SKIP_CACHE[key] = tables
     return tables
@@ -213,15 +273,16 @@ class BatchClusterEngine:
     """Vectorized sampler of the cluster chain for one parameter set.
 
     Holds the shared :class:`~repro.core.transitions.TransitionRows`
-    plus the flattened row-offset trick that turns per-row inverse-CDF
-    sampling into a single :func:`numpy.searchsorted` over the whole
-    batch (see :func:`_flat_offsets`).
+    as a column-major :class:`_ColumnTable`, so a batch of per-row
+    inverse-CDF draws costs one gather, compare and add per row
+    column, whatever the number of states.
 
     ``policy`` selects a count-level adversary (name, record or ``None``
     for the paper's strong adversary), ``p_join`` overrides the join
     probability of the mixed law (i.i.d.-kind churn reduces to this),
     and ``with_kind_rows`` additionally assembles the join- and
-    leave-conditional tables needed by scheduled-kind stepping.  All
+    leave-conditional rows needed by scheduled-kind stepping, stacked
+    into one table (join rows first).  All
     of them are rows of :func:`~repro.core.transitions.transition_rows`
     for the same policy, so they share one state indexing.
     """
@@ -240,17 +301,22 @@ class BatchClusterEngine:
             self._policy = resolve_count_policy(policy)
             rows = transition_rows(params, policy=self._policy, p_join=p_join)
             self._rows = rows
-            self._targets = rows.targets
-            self._width = rows.width
             codes = rows.category_codes
             self._codes = codes
             self._transient = codes <= CODE_POLLUTED
             self._polluted = codes == CODE_POLLUTED
-            self._flat_cum = _flat_offsets(rows.cum_probs)
+            self._table = _ColumnTable.of(rows.targets, rows.cum_probs)
             self._skip: _SkipTables | None = None
-            self._kind_tables: dict[str, _KindTable] | None = None
+            self._kind_table: _ColumnTable | None = None
             if with_kind_rows:
-                self._build_kind_tables()
+                self._kind_table = _ColumnTable.stacked(
+                    *(
+                        transition_rows(
+                            params, policy=self._policy, kind=kind
+                        )
+                        for kind in (KIND_JOIN, KIND_LEAVE)
+                    )
+                )
 
     # -- accessors ----------------------------------------------------------
 
@@ -326,24 +392,7 @@ class BatchClusterEngine:
         and stays put).
         """
         draws = self._rng.random(indices.size)
-        flat = np.searchsorted(
-            self._flat_cum, 2.0 * indices + draws, side="right"
-        )
-        columns = flat - indices.astype(np.intp, copy=False) * self._width
-        return self._targets[indices, columns]
-
-    def _build_kind_tables(self) -> None:
-        tables = {}
-        for kind in (KIND_JOIN, KIND_LEAVE):
-            rows = transition_rows(
-                self._params, policy=self._policy, kind=kind
-            )
-            flat = _flat_offsets(rows.cum_probs)
-            flat.setflags(write=False)
-            tables[kind] = _KindTable(
-                targets=rows.targets, flat_cum=flat, width=rows.width
-            )
-        self._kind_tables = tables
+        return self._table.sample(indices, draws)
 
     def step_kinds(
         self, indices: np.ndarray, joins: np.ndarray
@@ -352,28 +401,25 @@ class BatchClusterEngine:
 
         ``joins`` is a boolean mask (True = join event).  Requires the
         engine to have been built with ``with_kind_rows=True``.  The
-        join group is drawn before the leave group, so results are
+        join group takes the first uniforms of the batch, in index
+        order, and the leave group the rest, so results are
         deterministic for a seeded generator.
         """
-        if self._kind_tables is None:
+        if self._kind_table is None:
             raise RuntimeError(
                 "engine built without kind rows; pass with_kind_rows=True"
             )
-        out = np.empty(indices.shape, dtype=indices.dtype)
-        for mask, kind in ((joins, KIND_JOIN), (~joins, KIND_LEAVE)):
-            subset = indices[mask]
-            if subset.size == 0:
-                continue
-            table = self._kind_tables[kind]
-            draws = self._rng.random(subset.size)
-            flat = np.searchsorted(
-                table.flat_cum, 2.0 * subset + draws, side="right"
-            )
-            columns = (
-                flat - subset.astype(np.intp, copy=False) * table.width
-            )
-            out[mask] = table.targets[subset, columns]
-        return out
+        leaves = ~joins
+        draws = self._rng.random(indices.size)
+        n_joins = indices.size - int(np.count_nonzero(leaves))
+        ordered = np.empty(indices.size)
+        ordered[joins] = draws[:n_joins]
+        ordered[leaves] = draws[n_joins:]
+        rows = np.multiply(leaves, self._rows.n_states, dtype=np.intp)
+        rows += indices
+        return self._kind_table.sample(rows, ordered).astype(
+            indices.dtype, copy=False
+        )
 
     # -- event-axis skip sampling -------------------------------------------
 
@@ -407,13 +453,8 @@ class BatchClusterEngine:
 
     def skip_target(self, indices: np.ndarray) -> np.ndarray:
         """Landing states conditioned on leaving (self loops removed)."""
-        tables = self.skip_tables
         draws = self._rng.random(indices.size)
-        flat = np.searchsorted(
-            tables.flat_cum, 2.0 * indices + draws, side="right"
-        )
-        columns = flat - indices.astype(np.intp, copy=False) * tables.width
-        return tables.targets[indices, columns]
+        return self.skip_tables.landing.sample(indices, draws)
 
 
 @dataclass(frozen=True)
@@ -624,15 +665,17 @@ def _run_scheduled_mode(
     rng = engine._rng
     positions = rng.integers(0, schedule.size, size=n_lanes)
     out_steps = np.zeros(runs, dtype=counter_dtype)
-    out_safe = np.zeros(runs, dtype=counter_dtype)
     out_polluted = np.zeros(runs, dtype=counter_dtype)
     out_code = np.full(runs, -1, dtype=np.int8)
     out_first_safe = np.zeros(runs, dtype=counter_dtype)
     out_first_polluted = np.zeros(runs, dtype=counter_dtype)
     fill = 0
 
+    # Per-lane state.  Counters advance with dense adds of the in-flight
+    # mask, which leave a retired lane's values alone; a retired lane
+    # sits in an absorbing state, which is never polluted.  Time in the
+    # safe phase is ``steps - polluted`` (each event charges one phase).
     indices = np.zeros(n_lanes, dtype=index_dtype)
-    time_safe = np.zeros(n_lanes, dtype=counter_dtype)
     time_polluted = np.zeros(n_lanes, dtype=counter_dtype)
     steps = np.zeros(n_lanes, dtype=counter_dtype)
     first_safe = np.zeros(n_lanes, dtype=counter_dtype)
@@ -646,10 +689,9 @@ def _run_scheduled_mode(
 
     def finalize(lanes: np.ndarray) -> None:
         nonlocal fill
-        slots = np.arange(fill, fill + lanes.size)
+        slots = slice(fill, fill + lanes.size)
         fill += lanes.size
         out_steps[slots] = steps[lanes]
-        out_safe[slots] = time_safe[lanes]
         out_polluted[slots] = time_polluted[lanes]
         out_code[slots] = engine.category_codes(indices[lanes])
         out_first_safe[slots] = first_safe[lanes]
@@ -666,8 +708,7 @@ def _run_scheduled_mode(
             ).astype(index_dtype, copy=False)
             indices[lanes] = fresh
             for counter in (
-                time_safe, time_polluted, steps,
-                first_safe, first_polluted, run_length,
+                time_polluted, steps, first_safe, first_polluted, run_length
             ):
                 counter[lanes] = 0
             seen_safe[lanes] = False
@@ -688,26 +729,25 @@ def _run_scheduled_mode(
             break
         # The budget is per trajectory (a lane legitimately runs many
         # trajectories back to back, so no global iteration cap).
-        if (steps[active] >= max_steps).any():
-            stuck = int((steps[active] >= max_steps).sum())
+        stuck = (steps >= max_steps) & in_flight
+        if stuck.any():
             raise SimulationBudgetError(
-                f"{stuck} trajectories not absorbed within "
+                f"{int(stuck.sum())} trajectories not absorbed within "
                 f"{max_steps} steps ({engine.params.describe()})"
             )
-        current = indices[active]
-        polluted_now = engine.is_polluted(current)
-        flipped = polluted_now != phase[active]
+        polluted_now = engine.is_polluted(indices)
+        flipped = polluted_now != phase
+        flipped &= in_flight
         if flipped.any():
-            flippers = active[flipped]
+            flippers = np.flatnonzero(flipped)
             _close_first_sojourns(flippers, phase, run_length, trackers)
-            phase[flippers] = polluted_now[flipped]
+            phase[flippers] = polluted_now[flippers]
         kinds = schedule[positions[active] % schedule.size]
-        time_polluted[active[polluted_now]] += 1
-        time_safe[active[~polluted_now]] += 1
-        run_length[active] += 1
-        steps[active] += 1
-        positions[active] += 1
-        landed = engine.step_kinds(current, kinds)
+        time_polluted += polluted_now
+        run_length += in_flight
+        steps += in_flight
+        positions += in_flight
+        landed = engine.step_kinds(indices[active], kinds)
         indices[active] = landed
         finished = active[~engine.is_transient(landed)]
         if finished.size:
@@ -717,13 +757,14 @@ def _run_scheduled_mode(
     footprint = sum(
         array.nbytes
         for array in (
-            out_steps, out_safe, out_polluted, out_code,
+            out_steps, out_polluted, out_code,
             out_first_safe, out_first_polluted,
-            indices, time_safe, time_polluted, steps,
+            indices, time_polluted, steps,
             first_safe, first_polluted, seen_safe, seen_polluted,
             phase, run_length, in_flight, quota, positions,
         )
     )
+    out_safe = out_steps - out_polluted
     return BatchTrajectories(
         runs=runs,
         steps=out_steps,
@@ -732,7 +773,7 @@ def _run_scheduled_mode(
         absorbed_code=out_code,
         first_safe_sojourn=out_first_safe,
         first_polluted_sojourn=out_first_polluted,
-        arrays_nbytes=footprint,
+        arrays_nbytes=footprint + out_safe.nbytes,
     )
 
 

@@ -12,8 +12,8 @@ survive a more realistic churn process.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -86,40 +86,107 @@ class SessionPlan:
         return self.departure - self.arrival
 
 
+class SessionPlans(Sequence[SessionPlan]):
+    """Immutable sequence of session plans backed by two float arrays.
+
+    ``arrivals[k]`` and ``departures[k]`` are plan ``k``'s instants;
+    indexing and iteration yield :class:`SessionPlan` records, so the
+    sequence reads like a list of plans without building one record
+    per session up front.
+    """
+
+    __slots__ = ("arrivals", "departures")
+
+    def __init__(self, arrivals: np.ndarray, departures: np.ndarray) -> None:
+        arrivals = np.array(arrivals, dtype=float)
+        departures = np.array(departures, dtype=float)
+        if arrivals.shape != departures.shape or arrivals.ndim != 1:
+            raise ValueError(
+                "arrivals and departures must be equal-length 1-d arrays"
+            )
+        arrivals.setflags(write=False)
+        departures.setflags(write=False)
+        self.arrivals = arrivals
+        self.departures = departures
+
+    def __len__(self) -> int:
+        return self.arrivals.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SessionPlans(self.arrivals[index], self.departures[index])
+        return SessionPlan(
+            float(self.arrivals[index]), float(self.departures[index])
+        )
+
+    def __iter__(self) -> Iterator[SessionPlan]:
+        return map(
+            SessionPlan, self.arrivals.tolist(), self.departures.tolist()
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SessionPlans):
+            return NotImplemented
+        return np.array_equal(
+            self.arrivals, other.arrivals
+        ) and np.array_equal(self.departures, other.departures)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SessionPlans(<{len(self)} plans>)"
+
+
+def _first_block(expected: float) -> int:
+    """Draws in the first block for ``expected`` arrivals: the count is
+    Poisson, so four standard deviations of slack rarely need a second
+    block."""
+    return 2 * int(expected + 4.0 * np.sqrt(expected) + 32.0) + 1
+
+
+def _session_draws(
+    rng: np.random.Generator, arrival_rate: float, horizon: float
+) -> tuple[np.ndarray, int]:
+    """Arrival instants before ``horizon`` and their count ``m``.
+
+    A session generator consumes its stream as arrival gap, duration,
+    arrival gap, ..., and stops at the first arrival at or past the
+    horizon: ``2 m + 1`` standard exponentials in all.  A twin
+    generator started from ``rng``'s state draws growing blocks of that
+    stream until the running sum of the gaps crosses the horizon, which
+    fixes ``m`` without touching ``rng``; the caller then draws exactly
+    ``2 m + 1`` values from ``rng`` itself.  The gaps are summed in
+    stream order, so every instant is the float the one-plan-at-a-time
+    loop computes.
+    """
+    if not np.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
+    twin = np.random.Generator(type(rng.bit_generator)())
+    twin.bit_generator.state = rng.bit_generator.state
+    scale = 1.0 / arrival_rate
+    draws = twin.standard_exponential(_first_block(horizon * arrival_rate))
+    while True:
+        arrivals = np.cumsum(draws[0::2] * scale)
+        m = int(np.searchsorted(arrivals, horizon, side="left"))
+        if m < arrivals.size:
+            return arrivals[:m], m
+        draws = np.concatenate(
+            [draws, twin.standard_exponential(draws.size + 1)]
+        )
+
+
 def exponential_sessions(
     rng: np.random.Generator,
     arrival_rate: float,
     mean_session: float,
     horizon: float,
-) -> list[SessionPlan]:
+) -> SessionPlans:
     """Poisson arrivals with exponential session durations."""
     if arrival_rate <= 0 or mean_session <= 0 or horizon <= 0:
         raise ValueError("arrival_rate, mean_session, horizon must be > 0")
-    plans = []
-    time = 0.0
-    while True:
-        time += float(rng.exponential(1.0 / arrival_rate))
-        if time >= horizon:
-            break
-        duration = float(rng.exponential(mean_session))
-        plans.append(SessionPlan(arrival=time, departure=time + duration))
-    return plans
-
-
-def session_event_stream(
-    plans: list[SessionPlan],
-) -> Iterator[ChurnEvent]:
-    """Flatten session plans into a time-ordered join/leave stream.
-
-    Each plan contributes a :data:`EventKind.JOIN` at its arrival and a
-    :data:`EventKind.LEAVE` at its departure; ties resolve joins first
-    so a session is always born before it dies.  The stream is finite
-    (two events per plan).
-    """
-    marks = [(plan.arrival, 0, EventKind.JOIN) for plan in plans]
-    marks += [(plan.departure, 1, EventKind.LEAVE) for plan in plans]
-    for time, _, kind in sorted(marks):
-        yield ChurnEvent(kind=kind, time=time)
+    arrivals, m = _session_draws(rng, arrival_rate, horizon)
+    durations = rng.standard_exponential(2 * m + 1)[1::2] * mean_session
+    return SessionPlans(arrivals, arrivals + durations)
 
 
 def pareto_sessions(
@@ -128,7 +195,7 @@ def pareto_sessions(
     shape: float,
     scale: float,
     horizon: float,
-) -> list[SessionPlan]:
+) -> SessionPlans:
     """Poisson arrivals with heavy-tailed (Pareto) session durations.
 
     Measured P2P traces (e.g. Gnutella/Kad studies) exhibit heavy-tailed
@@ -141,15 +208,53 @@ def pareto_sessions(
         )
     if arrival_rate <= 0 or scale <= 0 or horizon <= 0:
         raise ValueError("arrival_rate, scale, horizon must be > 0")
-    plans = []
-    time = 0.0
-    while True:
-        time += float(rng.exponential(1.0 / arrival_rate))
-        if time >= horizon:
-            break
-        duration = float(scale * (1.0 + rng.pareto(shape)))
-        plans.append(SessionPlan(arrival=time, departure=time + duration))
-    return plans
+    arrivals, m = _session_draws(rng, arrival_rate, horizon)
+    # A Pareto draw is expm1 of one standard exponential over ``shape``,
+    # so the odd slots of 2m + 1 Pareto draws are the session lengths
+    # and the stream advances exactly as 2m + 1 exponentials would.
+    lomax = rng.pareto(shape, 2 * m + 1)[1::2]
+    return SessionPlans(arrivals, arrivals + scale * (1.0 + lomax))
+
+
+def _plan_arrays(plans) -> tuple[np.ndarray, np.ndarray]:
+    """``(arrivals, departures)`` of a plan sequence."""
+    if isinstance(plans, SessionPlans):
+        return plans.arrivals, plans.departures
+    return (
+        np.array([plan.arrival for plan in plans], dtype=float),
+        np.array([plan.departure for plan in plans], dtype=float),
+    )
+
+
+def _session_order(
+    arrivals: np.ndarray, departures: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Time-ordered event instants and join flags of session plans.
+
+    Joins sort before leaves on ties, so a session is always born
+    before it dies; ties within one kind keep plan order.
+    """
+    times = np.concatenate([arrivals, departures])
+    leaves = np.arange(times.size) >= arrivals.size
+    order = np.lexsort((leaves, times))
+    return times[order], order < arrivals.size
+
+
+def session_event_stream(
+    plans: Sequence[SessionPlan],
+) -> Iterator[ChurnEvent]:
+    """Flatten session plans into a time-ordered join/leave stream.
+
+    Each plan contributes a :data:`EventKind.JOIN` at its arrival and a
+    :data:`EventKind.LEAVE` at its departure; ties resolve joins first
+    so a session is always born before it dies.  The stream is finite
+    (two events per plan).
+    """
+    times, joins = _session_order(*_plan_arrays(plans))
+    for time, join in zip(times.tolist(), joins.tolist()):
+        yield ChurnEvent(
+            kind=EventKind.JOIN if join else EventKind.LEAVE, time=time
+        )
 
 
 # -- scenario registry entries ----------------------------------------------
@@ -223,8 +328,8 @@ def _pareto_session_churn(
 #   effective join probability mixed straight into the transition rows;
 # * :class:`ScheduledKinds` -- the kinds are correlated (session-based
 #   streams pair every join with a later leave): the sequence is
-#   materialized once as a boolean schedule that lockstep trajectories
-#   read from independent random offsets.
+#   materialized once as a boolean schedule that lanes of lockstep
+#   trajectories read sequentially, from a random start per lane.
 #
 # Kind-law factories share the churn factories' signatures so one
 # ``churn_options`` table drives both representations.
@@ -247,29 +352,20 @@ class ScheduledKinds:
     """Materialized kind sequence of a correlated churn process.
 
     ``schedule[k]`` is True when the stream's ``k``-th event is a join.
-    Consumers read the (finite) schedule cyclically from per-trajectory
-    offsets, which matches the per-trajectory law of a stationary
-    stream segment.
+    The batch tier reads the (finite) schedule cyclically: lanes of
+    trajectories each start at a random position and then run their
+    trajectories back to back, each one starting where the previous
+    one absorbed, as the scalar oracle consumes its one stream.  A
+    horizon before the first arrival gives an empty schedule, which
+    the scenario layer refuses.
     """
 
     schedule: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.schedule.size == 0:
-            raise ValueError("kind schedule must be non-empty")
 
-
-def _kinds_of(plans: list[SessionPlan]) -> np.ndarray:
-    """Time-ordered join/leave flags of session plans (vectorized)."""
-    arrivals = np.array([plan.arrival for plan in plans])
-    departures = np.array([plan.departure for plan in plans])
-    times = np.concatenate([arrivals, departures])
-    # Joins sort before leaves on ties, matching session_event_stream.
-    tiebreak = np.concatenate(
-        [np.zeros(arrivals.size), np.ones(departures.size)]
-    )
-    order = np.lexsort((tiebreak, times))
-    return order < arrivals.size
+def _kinds_of(plans: SessionPlans) -> np.ndarray:
+    """Time-ordered join/leave flags of session plans."""
+    return _session_order(plans.arrivals, plans.departures)[1]
 
 
 def _bernoulli_kinds(

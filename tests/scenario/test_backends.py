@@ -71,6 +71,29 @@ class TestBatchBackend:
             result.metrics["p(polluted-merge)"] == direct.p_polluted_merge
         )
 
+    @pytest.mark.parametrize(
+        "churn", ["exponential-sessions", "pareto-sessions"]
+    )
+    @pytest.mark.parametrize(
+        "options,horizon",
+        [
+            ({"horizon": 1e-9}, "1e-09"),
+            ({"arrival_rate": 1e-12}, "10000.0"),  # the default horizon
+        ],
+    )
+    def test_session_horizon_without_events_is_a_spec_error(
+        self, churn, options, horizon
+    ):
+        with pytest.raises(SpecError, match=rf"{churn}.*horizon={horizon}"):
+            execute_spec(
+                spec(
+                    engine="batch",
+                    runs=10,
+                    churn=churn,
+                    churn_options=options,
+                )
+            )
+
 
 class TestScalarBackend:
     def test_adversary_axis_changes_outcome(self):

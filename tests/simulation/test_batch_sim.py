@@ -92,7 +92,7 @@ class TestBatchEngine:
         After t lockstep transitions from delta, the batch population's
         distribution over transient states must match
         ``ClusterModel.transient_law`` -- this exercises the padded-row
-        searchsorted sampling against the analytically correct law.
+        inverse-CDF sampling against the analytically correct law.
         """
         params = ATTACK
         model = ClusterModel(params)
